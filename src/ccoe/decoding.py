@@ -1,10 +1,11 @@
 """Incremental greedy decoding with a per-sequence KV cache.
 
-The cache preallocates key/value buffers for the full context window; each
-decode step appends exactly one position per layer, so cache length always
-equals the number of tokens processed. The no-cache path recomputes the full
-forward every step and must produce identical token sequences; tests hold the
-cached path to that oracle.
+The cache holds key/value buffers for one request's positions. Prefill fills
+the prompt's positions in one batched forward pass; each decode step then
+appends exactly one position per layer, so cache length always equals the
+number of tokens processed. The no-cache path recomputes the full forward
+every step and must produce identical token sequences; tests hold the cached
+path to that oracle.
 """
 
 from __future__ import annotations
@@ -15,20 +16,28 @@ import numpy as np
 
 from .errors import SequenceLengthError, TokenIdError
 from .kernels import gelu
-from .model import BackboneModel, ExpertSubnetwork
+from .model import BackboneModel, ExpertSubnetwork, validate_positions
 from .net import _ln_fwd, ffn_sources, forward_batch
 from .tokenizer import EOS
 
 
 class KvCache:
-    """Per-layer cached keys/values for one in-flight decode."""
+    """Per-layer cached keys/values for one in-flight decode.
 
-    def __init__(self, model: BackboneModel):
+    ``capacity`` positions (default: the model's ``max_seq``) are allocated up
+    front; ``k[i]`` and ``v[i]`` are [n_heads, capacity, head_dim].
+    """
+
+    def __init__(self, model: BackboneModel, capacity: int | None = None):
         c = model.config
+        capacity = c.max_seq if capacity is None else capacity
+        if capacity > c.max_seq:
+            raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
         hd = c.d_model // c.n_heads
         dt = model.params["embed"].dtype
-        self.k = [np.empty((c.n_heads, c.max_seq, hd), dtype=dt) for _ in range(c.n_layers)]
-        self.v = [np.empty((c.n_heads, c.max_seq, hd), dtype=dt) for _ in range(c.n_layers)]
+        self.k = [np.empty((c.n_heads, capacity, hd), dtype=dt) for _ in range(c.n_layers)]
+        self.v = [np.empty((c.n_heads, capacity, hd), dtype=dt) for _ in range(c.n_layers)]
+        self.capacity = capacity
         self.length = 0
 
     def __len__(self) -> int:
@@ -45,10 +54,14 @@ def decode_step(
     c = model.config
     p = model.params
     pos = cache.length
-    if pos >= c.max_seq:
-        raise SequenceLengthError(f"decode position {pos} exceeds max_seq {c.max_seq}")
+    if pos >= cache.capacity:
+        raise SequenceLengthError(
+            f"decode position {pos} exceeds cache capacity {cache.capacity}"
+        )
     if not 0 <= token < c.vocab_size:
         raise TokenIdError(f"token id {token} outside vocabulary [0, {c.vocab_size})")
+    if expert is not None:
+        validate_positions(c, expert.positions)
     n_heads = c.n_heads
     hd = c.d_model // n_heads
     scale = 1.0 / math.sqrt(hd)
@@ -95,6 +108,8 @@ def greedy_decode(
 
     Argmax ties break toward the lowest token id. Stops early when
     ``stop_token`` is produced (the stop token is included in the output).
+    The cached path prefills the prompt with one ``forward_batch`` pass and
+    decodes each generated token but the last with ``decode_step``.
     """
     if not prompt:
         raise SequenceLengthError("prompt must be nonempty")
@@ -104,25 +119,18 @@ def greedy_decode(
         raise SequenceLengthError(
             f"prompt ({len(prompt)}) + max_new ({max_new}) exceeds max_seq {model.config.max_seq}"
         )
+    tokens = np.asarray([prompt], dtype=np.int64)
+    # the last generated token is never fed back, so it needs no cache position
+    cache = KvCache(model, len(prompt) + max_new - 1) if use_cache else None
+    logits = forward_batch(model, tokens, expert=expert, cache=cache)[0][0, -1]
     out: list[int] = []
-    if use_cache:
-        cache = KvCache(model)
-        logits = None
-        for tok in prompt:
-            logits = decode_step(model, expert, tok, cache)
-        for _ in range(max_new):
-            nxt = int(np.argmax(logits))  # first max wins: lowest id on ties
-            out.append(nxt)
-            if stop_token is not None and nxt == stop_token:
-                break
+    while True:
+        nxt = int(np.argmax(logits))  # first max wins: lowest id on ties
+        out.append(nxt)
+        if len(out) == max_new or nxt == stop_token:
+            return out
+        if cache is not None:
             logits = decode_step(model, expert, nxt, cache)
-    else:
-        ids = list(prompt)
-        for _ in range(max_new):
-            logits, _, _ = forward_batch(model, np.asarray([ids], dtype=np.int64), expert=expert)
-            nxt = int(np.argmax(logits[0, -1]))
-            out.append(nxt)
-            if stop_token is not None and nxt == stop_token:
-                break
-            ids.append(nxt)
-    return out
+        else:
+            tokens = np.append(tokens, [[nxt]], axis=1)
+            logits = forward_batch(model, tokens, expert=expert)[0][0, -1]

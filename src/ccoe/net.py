@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, SequenceLengthError, TokenIdError
+from .errors import DimensionError, NumericError, SequenceLengthError, TokenIdError
 from .kernels import NEG_INF, gelu_fwd, gelu_grad_from_tanh
 from .model import BackboneModel, ExpertSubnetwork, validate_positions
 
@@ -100,11 +100,17 @@ def forward_batch(
     tokens: np.ndarray,
     expert: ExpertSubnetwork | None = None,
     want_tape: bool = False,
+    cache=None,
 ):
     """Forward a [b,t] int token batch; returns (logits, hidden, tape).
 
     ``hidden`` is the final-norm output (pre-head). The expert, when present,
     replaces the feed-forward sublayer (norm included) at its positions.
+
+    With ``cache`` (an empty ``decoding.KvCache``) the pass is a prefill: it
+    takes one untaped row, writes every layer's per-head keys and values for
+    the ``t`` positions into the cache, sets its length to ``t``, and returns
+    logits and hidden for the last position only ([1, 1, ...]).
     """
     c = backbone.config
     p = backbone.params
@@ -113,9 +119,18 @@ def forward_batch(
     b, t = tokens.shape
     if t > c.max_seq:
         raise SequenceLengthError(f"sequence length {t} exceeds max_seq {c.max_seq}")
+    if cache is not None:
+        if b != 1 or want_tape:
+            raise DimensionError(
+                f"prefill takes one row and no tape, got {b} rows, tape={want_tape}"
+            )
+        if len(cache):
+            raise DimensionError(f"prefill needs an empty cache; it holds {len(cache)} positions")
+        if t > cache.capacity:
+            raise SequenceLengthError(f"prompt of {t} exceeds cache capacity {cache.capacity}")
     check_token_ids(tokens, c.vocab_size)
     scale = 1.0 / math.sqrt(c.d_model // c.n_heads)
-    mask_r, mask_c = np.triu_indices(t, k=1)
+    future = np.triu(np.ones((t, t), dtype=bool), k=1)  # causal mask
     srcs = ffn_sources(backbone, expert)
 
     x = p["embed"][tokens] + p["pos"][:t]
@@ -128,14 +143,19 @@ def forward_batch(
         k = _mm(h1, p[pre + "attn.wk"])
         v = _mm(h1, p[pre + "attn.wv"])
         qh, kh, vh = (_heads_split(a, c.n_heads) for a in (q, k, v))
+        if cache is not None:
+            cache.k[i][:, :t] = kh
+            cache.v[i][:, :t] = vh
         scores = np.matmul(qh, kh.transpose(0, 2, 1))
         scores *= scale
-        scores[:, mask_r, mask_c] = NEG_INF
+        np.copyto(scores, NEG_INF, where=future)
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
-        probs = scores
-        ctx = np.matmul(probs, vh)
+        ctx = np.matmul(scores, vh)
+        # without a tape, free the [b*h, t, t] scores before the next layer's exist
+        probs = scores if want_tape else None
+        del scores
         merged = _heads_merge(ctx, b, c.n_heads)
         attn_out = _mm(merged, p[pre + "attn.wo"])
         x1 = x0 + attn_out
@@ -156,6 +176,9 @@ def forward_batch(
                 "h2": h2, "ln2c": ln2c, "pre": pre_act, "act": act, "tanh_u": tanh_u,
             })
 
+    if cache is not None:
+        cache.length = t
+        x = x[:, -1:]
     hidden, lnfc = _ln_fwd(x, p["ln_f.g"], p["ln_f.b"])
     logits = _mm(hidden, p["head"])
     if not np.isfinite(logits).all():

@@ -387,7 +387,11 @@ def train_planner(
     cfg: TrainConfig,
 ) -> tuple[object, list[LossRecord]]:
     """Per-step cross-entropy over expert slots (STOP included); trains the
-    indicator vectors, scorer, and the planner's own sublayers jointly."""
+    indicator vectors, scorer, and the planner's own sublayers jointly.
+
+    Divergence aborts with ``DivergenceError`` carrying the latest snapshot of
+    the trainable parameters, as in ``_run_training``.
+    """
     from .routing import score_backward, score_tokens
 
     cfg.validate()
@@ -401,6 +405,7 @@ def train_planner(
     opt = Adam(params, cfg)
     trainable = set(params)
     curve: list[LossRecord] = []
+    snapshot = {k: v.copy() for k, v in params.items()}
     for step in range(cfg.steps):
         batch = [samples[int(rng.integers(0, len(samples)))] for _ in range(cfg.batch_size)]
         acc_grads: dict[GradKey, np.ndarray] = {}
@@ -410,7 +415,9 @@ def train_planner(
             try:
                 scores, tape = score_tokens(planner, backbone, tokens, want_tape=True)
             except NumericError as exc:
-                raise DivergenceError(f"{exc} in planner step {step}") from exc
+                raise DivergenceError(
+                    f"{exc} in planner step {step}", last_good=snapshot
+                ) from exc
             z = scores - scores.max()
             ez = np.exp(z)
             probs = ez / ez.sum()
@@ -427,10 +434,14 @@ def train_planner(
                     acc_grads[k] = v
         loss = total_loss / len(batch)
         if not math.isfinite(loss):
-            raise DivergenceError(f"non-finite planner loss at step {step}")
+            raise DivergenceError(
+                f"non-finite planner loss at step {step}", last_good=snapshot
+            )
         opt.step(acc_grads, lr_at(cfg, step))
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             curve.append(LossRecord(step=step, loss=loss, token_accuracy=hits / len(batch)))
+        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
+            snapshot = {k: v.copy() for k, v in params.items()}
     return planner, curve
 
 

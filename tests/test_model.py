@@ -5,9 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccoe import decoding
 from ccoe.decoding import KvCache, decode_step, greedy_decode
-from ccoe.errors import ConfigError, RoutingConfigError, SequenceLengthError, TokenIdError
+from ccoe.errors import (
+    ConfigError,
+    DimensionError,
+    RoutingConfigError,
+    SequenceLengthError,
+    TokenIdError,
+)
 from ccoe.model import (
     BackboneModel,
     ModelConfig,
@@ -250,3 +259,92 @@ def test_batched_forward_matches_single(tiny_model):
     for i, s in enumerate(seqs):
         single = forward_base(tiny_model, s)
         assert np.abs(batched[i] - single).max() < 1e-5
+
+
+def test_greedy_decode_never_decodes_its_last_token(tiny_model, monkeypatch):
+    calls = []
+
+    def counting_step(*args):
+        calls.append(args[2])
+        return decode_step(*args)
+
+    monkeypatch.setattr(decoding, "decode_step", counting_step)
+    out = greedy_decode(tiny_model, None, [257, 5, 6], max_new=6, stop_token=None)
+    assert len(out) == 6
+    assert calls == out[:-1]  # the prompt is prefilled, the last token never fed back
+
+
+def test_decode_step_rejects_expert_position_out_of_range(tiny_model):
+    deeper = init_expert(
+        ModelConfig(n_layers=8, d_model=32, n_heads=4, d_ff=64), 3, "bad8", (7,), Rng(6)
+    )
+    cache = KvCache(tiny_model)
+    with pytest.raises(RoutingConfigError):
+        decode_step(tiny_model, deeper, 257, cache)
+    assert len(cache) == 0
+
+
+def test_decode_step_on_full_request_sized_cache_raises(tiny_model):
+    cache = KvCache(tiny_model, 3)
+    for tok in [257, 1, 2]:
+        decode_step(tiny_model, None, tok, cache)
+    with pytest.raises(SequenceLengthError):
+        decode_step(tiny_model, None, 3, cache)
+    assert len(cache) == 3
+
+
+def test_kv_cache_capacity_beyond_max_seq_rejected(tiny_model):
+    with pytest.raises(SequenceLengthError):
+        KvCache(tiny_model, TINY.max_seq + 1)
+
+
+def test_prefill_rejects_two_rows_and_a_nonempty_cache(tiny_model):
+    two_rows = np.asarray([[257, 1], [257, 2]], dtype=np.int64)
+    with pytest.raises(DimensionError):
+        forward_batch(tiny_model, two_rows, cache=KvCache(tiny_model))
+    used = KvCache(tiny_model)
+    decode_step(tiny_model, None, 257, used)
+    with pytest.raises(DimensionError):
+        forward_batch(tiny_model, np.asarray([[257, 1]], dtype=np.int64), cache=used)
+    with pytest.raises(SequenceLengthError):
+        forward_batch(tiny_model, np.asarray([[257, 1, 2]], dtype=np.int64),
+                      cache=KvCache(tiny_model, 2))
+
+
+def _float64(component):
+    component.params = {k: v.astype(np.float64) for k, v in component.params.items()}
+    return component
+
+
+MAX_NEW = 4
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    length=st.integers(1, TINY.max_seq - MAX_NEW),
+    positions=st.none() | st.sets(st.integers(0, TINY.n_layers - 1), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_prefill_matches_per_token_decode(tiny_model, length, positions, seed):
+    model = _float64(deep_copy_backbone(tiny_model))
+    expert = None
+    if positions is not None:
+        expert = _float64(init_expert(TINY, 0, "x", tuple(sorted(positions)), Rng(seed)))
+    prompt = [257] + [int(t) for t in Rng(seed).integers(0, 256, size=length - 1)]
+
+    prefilled = KvCache(model, length)
+    logits, _, _ = forward_batch(model, np.asarray([prompt], dtype=np.int64), expert=expert,
+                                 cache=prefilled)
+    stepped = KvCache(model, length)
+    for tok in prompt:
+        step_logits = decode_step(model, expert, tok, stepped)
+    assert len(prefilled) == len(stepped) == length
+    for i in range(TINY.n_layers):
+        assert np.abs(prefilled.k[i] - stepped.k[i]).max() < 1e-12
+        assert np.abs(prefilled.v[i] - stepped.v[i]).max() < 1e-12
+    assert logits.shape == (1, 1, TINY.vocab_size)
+    assert np.abs(logits[0, -1] - step_logits).max() < 1e-12
+
+    cached = greedy_decode(model, expert, prompt, MAX_NEW, stop_token=None)
+    assert cached == greedy_decode(model, expert, prompt, MAX_NEW, use_cache=False,
+                                   stop_token=None)

@@ -335,6 +335,8 @@ def test_planner_divergence_raises_divergence_error():
         with pytest.raises(DivergenceError) as err:
             train_planner(planner, model, tasks, cfg)
     assert isinstance(err.value.__cause__, NumericError)
+    assert err.value.last_good is not None
+    assert set(err.value.last_good) == set(planner.trainable_parameters())
 
 
 def test_invalid_train_config_rejected():
