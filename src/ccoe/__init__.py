@@ -36,7 +36,7 @@ from .model import (
     init_expert,
     param_bytes,
 )
-from .net import forward_base, forward_hidden, forward_with_expert
+from .net import forward_base, forward_with_expert
 from .rng import Rng
 from .routing import (
     STOP,
@@ -66,7 +66,7 @@ __all__ = [
     "Rng", "STOP", "Subtask", "SyntheticDomain", "TrainConfig", "Workload",
     "ablate_insertion", "attach_planner", "causal_attention", "digest",
     "evaluate_exact_match", "evaluate_planner", "execute_plan", "forward_base",
-    "forward_hidden", "forward_with_expert", "gate", "greedy_decode",
+    "forward_with_expert", "gate", "greedy_decode",
     "init_backbone", "init_expert", "init_planner", "layer_norm",
     "load_checkpoint", "matmul", "memory_report", "nll_loss", "param_bytes",
     "plan_scores", "pop_copy", "pop_remove", "pretrain_backbone", "push",

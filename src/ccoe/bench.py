@@ -105,6 +105,7 @@ class BenchReport:
             "per_switch_overhead_seconds": self.per_switch_overhead_seconds,
             "wall_time_seconds": round(self.wall_time_seconds, 4),
             "generated_tokens": self.generated_tokens,
+            "decode_seconds": round(self.decode_seconds, 4),
         }
 
 
@@ -137,7 +138,7 @@ def _decode_query(model: BackboneModel, expert, prompt: str, max_new: int) -> in
 def run_ccoe(registry: ExpertRegistry, workload: Workload, max_new: int = 12) -> BenchReport:
     """Serve the workload from the registry via rule-based gating."""
     for domain, _ in workload.items:
-        if not registry.mapping.experts_for(domain) and domain not in registry.mapping.rows:
+        if domain not in registry.mapping.rows:
             raise WorkloadError(f"registry cannot serve domain {domain!r}")
     stream = list(workload.items)
     peak = registry.total_bytes()  # everything stays resident

@@ -3,9 +3,11 @@
 The cache holds key/value buffers for one request's positions. Prefill fills
 the prompt's positions in one batched forward pass; each decode step then
 appends exactly one position per layer, so cache length always equals the
-number of tokens processed. The no-cache path recomputes the full forward
-every step and must produce identical token sequences; tests hold the cached
-path to that oracle.
+number of tokens processed. A decode step attends over the cache with two
+matmuls per layer (query against the cached keys, then the weights against
+the cached values) and shares the layer norm of the batched pass. The no-cache
+path recomputes the full forward every step and must produce identical token
+sequences; tests hold the cached path to that oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import SequenceLengthError, TokenIdError
-from .kernels import gelu
+from .errors import NumericError, SequenceLengthError, TokenIdError
+from .kernels import gelu, layer_norm_fwd
 from .model import BackboneModel, ExpertSubnetwork, validate_positions
-from .net import _ln_fwd, ffn_sources, forward_batch
+from .net import ffn_sources, forward_batch
 from .tokenizer import EOS
 
 
@@ -50,7 +52,13 @@ def decode_step(
     token: int,
     cache: KvCache,
 ) -> np.ndarray:
-    """Process one token at position len(cache); returns next-token logits [vocab]."""
+    """Process one token at position len(cache); returns next-token logits [vocab].
+
+    Per layer, the token's key and value are written at that position and
+    attention over the cached positions is two matmuls. Raises
+    ``NumericError`` when the logits are not finite, as ``forward_batch``
+    does; the cache has then already taken the position.
+    """
     c = model.config
     p = model.params
     pos = cache.length
@@ -70,7 +78,7 @@ def decode_step(
     x = p["embed"][token] + p["pos"][pos]
     for i in range(c.n_layers):
         pre = f"layers.{i}."
-        h1, _ = _ln_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        h1, _ = layer_norm_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q = (h1 @ p[pre + "attn.wq"]).reshape(n_heads, hd)
         k = (h1 @ p[pre + "attn.wk"]).reshape(n_heads, hd)
         v = (h1 @ p[pre + "attn.wv"]).reshape(n_heads, hd)
@@ -78,22 +86,26 @@ def decode_step(
         cache.v[i][:, pos, :] = v
         keys = cache.k[i][:, : pos + 1, :]
         vals = cache.v[i][:, : pos + 1, :]
-        scores = (keys * q[:, None, :]).sum(axis=-1) * scale  # [h, pos+1]
-        m = scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores - m)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        ctx = (probs[:, :, None] * vals).sum(axis=1).reshape(c.d_model)
+        scores = np.matmul(keys, q[:, :, None])[:, :, 0]  # [h, pos+1]
+        scores *= scale
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        ctx = np.matmul(scores[:, None, :], vals).reshape(c.d_model)
         x = x + ctx @ p[pre + "attn.wo"]
 
         comp, fp, fpre = srcs[i]
         ln_g, ln_b = (fpre + "ln.g", fpre + "ln.b") if comp == "expert" else (pre + "ln2.g", pre + "ln2.b")
-        h2, _ = _ln_fwd(x, fp[ln_g], fp[ln_b])
+        h2, _ = layer_norm_fwd(x, fp[ln_g], fp[ln_b])
         act = gelu(h2 @ fp[fpre + "w1"] + fp[fpre + "b1"])
         x = x + act @ fp[fpre + "w2"] + fp[fpre + "b2"]
 
     cache.length = pos + 1
-    hf, _ = _ln_fwd(x, p["ln_f.g"], p["ln_f.b"])
-    return hf @ p["head"]
+    hf, _ = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
+    logits = hf @ p["head"]
+    if not np.isfinite(logits).all():
+        raise NumericError(f"decode step at position {pos} produced non-finite logits")
+    return logits
 
 
 def greedy_decode(
@@ -109,7 +121,8 @@ def greedy_decode(
     Argmax ties break toward the lowest token id. Stops early when
     ``stop_token`` is produced (the stop token is included in the output).
     The cached path prefills the prompt with one ``forward_batch`` pass and
-    decodes each generated token but the last with ``decode_step``.
+    decodes each generated token but the last with ``decode_step``. Both paths
+    raise ``NumericError`` on non-finite logits.
     """
     if not prompt:
         raise SequenceLengthError("prompt must be nonempty")

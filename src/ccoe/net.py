@@ -20,32 +20,10 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NumericError, SequenceLengthError, TokenIdError
-from .kernels import NEG_INF, gelu_fwd, gelu_grad_from_tanh
+from .kernels import NEG_INF, gelu_fwd, gelu_grad_from_tanh, layer_norm_bwd, layer_norm_fwd
 from .model import BackboneModel, ExpertSubnetwork, validate_positions
 
 GradKey = tuple[str, str]  # (component, parameter name)
-
-
-def _ln_fwd(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
-    return xh * g + b, (xh, inv, g)
-
-
-def _ln_bwd(dy, cache):
-    xh, inv, g = cache
-    dxh = dy * g
-    dg = (dy * xh).reshape(-1, xh.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, xh.shape[-1]).sum(axis=0)
-    dx = inv * (
-        dxh
-        - dxh.mean(axis=-1, keepdims=True)
-        - xh * (dxh * xh).mean(axis=-1, keepdims=True)
-    )
-    return dx, dg, db
 
 
 def _heads_split(x, n_heads):
@@ -138,7 +116,7 @@ def forward_batch(
     for i in range(c.n_layers):
         pre = f"layers.{i}."
         x0 = x
-        h1, ln1c = _ln_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        h1, ln1c = layer_norm_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
         q = _mm(h1, p[pre + "attn.wq"])
         k = _mm(h1, p[pre + "attn.wk"])
         v = _mm(h1, p[pre + "attn.wv"])
@@ -162,7 +140,7 @@ def forward_batch(
 
         comp, fp, fpre = srcs[i]
         ln_g, ln_b = (fpre + "ln.g", fpre + "ln.b") if comp == "expert" else (pre + "ln2.g", pre + "ln2.b")
-        h2, ln2c = _ln_fwd(x1, fp[ln_g], fp[ln_b])
+        h2, ln2c = layer_norm_fwd(x1, fp[ln_g], fp[ln_b])
         pre_act = _mm(h2, fp[fpre + "w1"])
         pre_act += fp[fpre + "b1"]
         act, tanh_u = gelu_fwd(pre_act)
@@ -179,7 +157,7 @@ def forward_batch(
     if cache is not None:
         cache.length = t
         x = x[:, -1:]
-    hidden, lnfc = _ln_fwd(x, p["ln_f.g"], p["ln_f.b"])
+    hidden, lnfc = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
     logits = _mm(hidden, p["head"])
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
@@ -227,7 +205,7 @@ def backward_batch(
         dh += dx_h
     if dhidden is not None:
         dh += dhidden
-    dx, dg, db = _ln_bwd(dh, tape["lnfc"])
+    dx, dg, db = layer_norm_bwd(dh, tape["lnfc"])
     add("backbone", "ln_f.g", dg)
     add("backbone", "ln_f.b", db)
 
@@ -246,7 +224,7 @@ def backward_batch(
         dh2, dw1 = _mm_back(lt["h2"], fp[fpre + "w1"], dpre)
         add(comp, fpre + "w1", dw1)
         add(comp, fpre + "b1", dpre.reshape(-1, dpre.shape[-1]).sum(axis=0))
-        dx1_norm, dg2, db2 = _ln_bwd(dh2, lt["ln2c"])
+        dx1_norm, dg2, db2 = layer_norm_bwd(dh2, lt["ln2c"])
         if comp == "expert":
             add("expert", fpre + "ln.g", dg2)
             add("expert", fpre + "ln.b", db2)
@@ -279,7 +257,7 @@ def backward_batch(
             dxi, dwi = _mm_back(h1, p[pre + "attn." + name], dterm)
             add("backbone", pre + "attn." + name, dwi)
             dh1 += dxi
-        dx0_norm, dg1, db1 = _ln_bwd(dh1, lt["ln1c"])
+        dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"])
         add("backbone", pre + "ln1.g", dg1)
         add("backbone", pre + "ln1.b", db1)
         dx = dx + dx0_norm
@@ -312,11 +290,3 @@ def forward_with_expert(
     logits, _, _ = forward_batch(model, arr, expert=expert)
     return logits[0]
 
-
-def forward_hidden(
-    model: BackboneModel, expert: ExpertSubnetwork | None, tokens: list[int]
-) -> np.ndarray:
-    """Final-norm hidden states [t, d_model] (pre-head)."""
-    arr = np.asarray([tokens], dtype=np.int64)
-    _, hidden, _ = forward_batch(model, arr, expert=expert)
-    return hidden[0]

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccoe.errors import ConfigError, DimensionError, NumericError
-from ccoe.kernels import causal_attention, gelu, gelu_grad, layer_norm, matmul, softmax_rows
+from ccoe.kernels import (
+    causal_attention,
+    gelu,
+    gelu_grad,
+    layer_norm,
+    layer_norm_fwd,
+    matmul,
+    softmax_rows,
+)
 from ccoe.rng import Rng
 
 
@@ -190,6 +198,23 @@ def test_layer_norm_oracle_sweep(seed):
     got = layer_norm(x, g, b, 1e-5)
     want = np.array([layer_norm_oracle(r, g, b, 1e-5) for r in x])
     assert np.abs(got - want).max() < 1e-5
+
+
+@pytest.mark.parametrize("shape", [(64,), (3, 17, 64)])
+def test_layer_norm_fwd_matches_ndarray_mean_bit_for_bit(shape):
+    # the model's layer norm (forward_batch, prefill and decode_step) reduces
+    # with np.add.reduce; it must equal the ndarray.mean form exactly
+    rng = Rng(13)
+    x = rng.normal(shape, 3.0) + 1.0
+    g, b = rng.normal((64,)), rng.normal((64,))
+    got, (xh, inv, _) = layer_norm_fwd(x, g, b)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    want_inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    assert x.dtype == got.dtype == np.float32
+    assert np.array_equal(inv, want_inv)
+    assert np.array_equal(xh, xc * want_inv)
+    assert np.array_equal(got, xc * want_inv * g + b)
+    assert np.array_equal(got, layer_norm(x, g, b))
 
 
 # --- causal attention -----------------------------------------------------------

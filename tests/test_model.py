@@ -13,6 +13,7 @@ from ccoe.decoding import KvCache, decode_step, greedy_decode
 from ccoe.errors import (
     ConfigError,
     DimensionError,
+    NumericError,
     RoutingConfigError,
     SequenceLengthError,
     TokenIdError,
@@ -218,6 +219,20 @@ def test_greedy_decode_cache_matches_no_cache(tiny_model):
         assert with_cache == without
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_greedy_decode_cache_matches_no_cache_with_expert(tiny_model, seed):
+    expert = init_expert(TINY, 0, "x", (0, 2), Rng(seed))
+    rng = Rng(seed + 100)
+    for trial in range(4):
+        n = int(rng.integers(1, 20))
+        prompt = [257] + [int(t) for t in rng.integers(0, 256, size=n)]
+        with_cache = greedy_decode(tiny_model, expert, prompt, max_new=16, use_cache=True,
+                                   stop_token=None)
+        without = greedy_decode(tiny_model, expert, prompt, max_new=16, use_cache=False,
+                                stop_token=None)
+        assert with_cache == without
+
+
 def test_greedy_decode_tie_breaks_to_lowest_id(tiny_model):
     flat = deep_copy_backbone(tiny_model)
     flat.params["head"] = np.zeros_like(flat.params["head"])  # all logits equal
@@ -244,6 +259,15 @@ def test_decode_step_rejects_token_id_outside_vocab(tiny_model, bad):
     with pytest.raises(TokenIdError):
         decode_step(tiny_model, None, bad, cache)
     assert len(cache) == 1
+
+
+def test_decode_step_raises_on_non_finite_logits(tiny_model):
+    model = deep_copy_backbone(tiny_model)
+    model.params["embed"][7] = np.nan
+    cache = KvCache(model)
+    forward_batch(model, np.asarray([[257, 1, 2]], dtype=np.int64), cache=cache)
+    with pytest.raises(NumericError):
+        decode_step(model, None, 7, cache)
 
 
 def test_frozen_model_rejects_writes(tiny_model):
