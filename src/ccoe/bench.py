@@ -73,10 +73,6 @@ class Workload:
     items: tuple[tuple[str, str], ...]
     repetitions: int = 1
 
-    @staticmethod
-    def round_robin(prompts_by_domain: dict[str, str], repetitions: int) -> "Workload":
-        return Workload(items=tuple(sorted(prompts_by_domain.items())), repetitions=repetitions)
-
     def switch_count(self) -> int:
         """Domain changes across the full repeated stream."""
         stream = list(self.items) * self.repetitions

@@ -20,8 +20,14 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CorruptionError, VersionError
-from .model import BackboneModel, ExpertSubnetwork, ModelConfig
+from .errors import ConfigError, CorruptionError, VersionError
+from .model import (
+    BackboneModel,
+    ExpertSubnetwork,
+    ModelConfig,
+    backbone_param_shapes,
+    expert_param_shapes,
+)
 
 MAGIC = b"CCOE"
 FORMAT_VERSION = 1
@@ -48,11 +54,6 @@ def _records_bytes(tensors: dict[str, np.ndarray]) -> tuple[bytes, int]:
 def digest(component) -> str:
     """SHA-256 over the component's canonical serialized tensor records."""
     records, _ = _records_bytes(component.named_parameters())
-    return hashlib.sha256(records).hexdigest()
-
-
-def digest_params(tensors: dict[str, np.ndarray]) -> str:
-    records, _ = _records_bytes(tensors)
     return hashlib.sha256(records).hexdigest()
 
 
@@ -134,22 +135,44 @@ def _parse_records(records: bytes) -> dict[str, np.ndarray]:
     return tensors
 
 
-def read_header(path: str | os.PathLike) -> dict[str, Any]:
-    with open(path, "rb") as f:
-        blob = f.read(16)
-        if blob[:4] != MAGIC:
-            raise CorruptionError(f"{path}: bad magic")
-        (version,) = struct.unpack_from("<I", blob, 4)
-        if version != FORMAT_VERSION:
-            raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-        (hlen,) = struct.unpack_from("<Q", blob, 8)
-        hjson = f.read(hlen)
-        if len(hjson) != hlen:
-            raise CorruptionError(f"{path}: truncated header")
-        try:
-            return json.loads(hjson.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptionError(f"{path}: unreadable header: {exc}") from exc
+def _expected_shapes(header: dict[str, Any], tensors: dict[str, np.ndarray]):
+    """Name -> shape of the tensors the header's kind, config, positions,
+    inner width and indicator ids call for. The model width, which expert and
+    planner headers do not record, is read from a pre-norm gain or the score
+    head; a wrong one shows as a shape mismatch."""
+    kind = header.get("kind")
+    if kind == "backbone":
+        return backbone_param_shapes(ModelConfig.from_dict(header["config"]))
+    d = next((a.size for n, a in sorted(tensors.items()) if n.endswith(("ln.g", "scorer.fw"))), 0)
+    expert = expert_param_shapes(tuple(header["positions"]), int(header["inner_width"]), d)
+    if kind == "expert":
+        return expert
+    if kind == "planner":
+        shapes = {"expert." + n: shape for n, shape in expert.items()}
+        shapes["indicators"] = (len(header["indicator_ids"]) + 1, d)
+        shapes.update({f"scorer.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update({"scorer.fw": (d,), "scorer.fb": (1,)})
+        return shapes
+    raise CorruptionError(f"unknown component kind {kind!r}")
+
+
+def _check_tensors(path, header: dict[str, Any], tensors: dict[str, np.ndarray]) -> None:
+    """Raise ``CorruptionError`` unless the header names a known kind and the
+    tensors' names and shapes are exactly those it describes."""
+    try:
+        want = _expected_shapes(header, tensors)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptionError(f"{path}: header does not describe a component: {exc!r}") from exc
+    got = {n: tuple(a.shape) for n, a in tensors.items()}
+    if got == want:
+        return
+    missing = sorted(set(want) - set(got))
+    extra = sorted(set(got) - set(want))
+    wrong = sorted(n for n in set(want) & set(got) if want[n] != got[n])
+    raise CorruptionError(
+        f"{path}: tensors do not match the {header.get('kind')} header: missing {missing[:3]}, "
+        f"unexpected {extra[:3]}, wrong shape {[(n, got[n], want[n]) for n in wrong[:3]]}"
+    )
 
 
 def load_checkpoint(path: str | os.PathLike):
@@ -174,6 +197,7 @@ def load_checkpoint(path: str | os.PathLike):
     if actual != header.get("digest"):
         raise CorruptionError(f"{path}: payload digest mismatch")
     tensors = _parse_records(records)
+    _check_tensors(path, header, tensors)
 
     kind = header.get("kind")
     if kind == "backbone":
@@ -193,27 +217,26 @@ def load_checkpoint(path: str | os.PathLike):
             inner_width=int(header["inner_width"]),
             params=tensors,
         )
-    if kind == "planner":
-        from .routing import PlannerExpert
+    # a planner: _check_tensors admits no other kind
+    from .routing import PlannerExpert
 
-        expert_params = {
-            k.removeprefix("expert."): v for k, v in tensors.items() if k.startswith("expert.")
-        }
-        scorer = {
-            k.removeprefix("scorer."): v for k, v in tensors.items() if k.startswith("scorer.")
-        }
-        expert = ExpertSubnetwork(
-            expert_id=int(header["expert_id"]),
-            domain=header["domain"],
-            positions=tuple(header["positions"]),
-            inner_width=int(header["inner_width"]),
-            params=expert_params,
-        )
-        return PlannerExpert(
-            expert=expert,
-            indicator_ids=list(header["indicator_ids"]),
-            indicators=tensors["indicators"],
-            scorer=scorer,
-            uncalibrated=set(header.get("uncalibrated", [])),
-        )
-    raise CorruptionError(f"{path}: unknown component kind {kind!r}")
+    expert_params = {
+        k.removeprefix("expert."): v for k, v in tensors.items() if k.startswith("expert.")
+    }
+    scorer = {
+        k.removeprefix("scorer."): v for k, v in tensors.items() if k.startswith("scorer.")
+    }
+    expert = ExpertSubnetwork(
+        expert_id=int(header["expert_id"]),
+        domain=header["domain"],
+        positions=tuple(header["positions"]),
+        inner_width=int(header["inner_width"]),
+        params=expert_params,
+    )
+    return PlannerExpert(
+        expert=expert,
+        indicator_ids=list(header["indicator_ids"]),
+        indicators=tensors["indicators"],
+        scorer=scorer,
+        uncalibrated=set(header.get("uncalibrated", [])),
+    )

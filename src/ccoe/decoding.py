@@ -94,9 +94,8 @@ def decode_step(
         ctx = np.matmul(scores[:, None, :], vals).reshape(c.d_model)
         x = x + ctx @ p[pre + "attn.wo"]
 
-        comp, fp, fpre = srcs[i]
-        ln_g, ln_b = (fpre + "ln.g", fpre + "ln.b") if comp == "expert" else (pre + "ln2.g", pre + "ln2.b")
-        h2, _ = layer_norm_fwd(x, fp[ln_g], fp[ln_b])
+        _, fp, fpre, lnpre = srcs[i]
+        h2, _ = layer_norm_fwd(x, fp[lnpre + "g"], fp[lnpre + "b"])
         act = gelu(h2 @ fp[fpre + "w1"] + fp[fpre + "b1"])
         x = x + act @ fp[fpre + "w2"] + fp[fpre + "b2"]
 

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from os import PathLike
 
-from .checkpoint import digest, load_checkpoint
+from .checkpoint import load_checkpoint
 from .errors import BudgetError, ConfigError, UnknownExpertError
 from .model import (
     BackboneModel,
     ExpertSubnetwork,
-    ModelConfig,
     deep_copy_expert,
     param_bytes,
     validate_positions,
@@ -57,13 +56,6 @@ class ExpertRegistry:
     def total_bytes(self) -> int:
         return sum(self.ledger().values())
 
-    def component_digests(self) -> dict[str, str]:
-        out = {"backbone": digest(self.backbone)}
-        for eid in sorted(self.experts):
-            out[f"expert:{eid}"] = digest(self.experts[eid])
-        if self.planner is not None:
-            out["planner"] = digest(self.planner)
-        return out
 
 
 def budget_limit_bytes(registry: ExpertRegistry) -> float:
@@ -151,18 +143,6 @@ def capped_deployment_bytes(backbone_bytes: int, n_experts: int,
                             fraction: Fraction = Fraction(15, 100)):
     """Analytic resident bytes with every expert exactly at the budget cap."""
     return backbone_bytes * (1 + n_experts * fraction)
-
-
-def adapter_deployment_bytes(config: ModelConfig, n_domains: int, rank: int = 4) -> int:
-    """Backbone + per-domain low-rank adapters on every linear map + one
-    materialized effective-weight overlay."""
-    from .model import backbone_param_count
-
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
-    maps = [(d, d)] * (4 * config.n_layers) + [(d, dff), (dff, d)] * config.n_layers + [(d, v)]
-    adapter_params = sum(rank * (i + o) for i, o in maps)
-    overlay_params = sum(i * o for i, o in maps)
-    return 4 * (backbone_param_count(config) + n_domains * adapter_params + overlay_params)
 
 
 @dataclass(frozen=True)

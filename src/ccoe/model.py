@@ -134,6 +134,34 @@ def expert_param_count(config: ModelConfig, n_sublayers: int, inner_width: int) 
     return n_sublayers * per
 
 
+def backbone_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor ``init_backbone`` creates for ``config``."""
+    c = config
+    d = c.d_model
+    shapes = {"embed": (c.vocab_size, d), "pos": (c.max_seq, d),
+              "ln_f.g": (d,), "ln_f.b": (d,), "head": (d, c.vocab_size)}
+    for i in range(c.n_layers):
+        pre = f"layers.{i}."
+        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,), pre + "ln2.g": (d,),
+                       pre + "ln2.b": (d,), pre + "ffn.w1": (d, c.d_ff), pre + "ffn.b1": (c.d_ff,),
+                       pre + "ffn.w2": (c.d_ff, d), pre + "ffn.b2": (d,)})
+        shapes.update({pre + f"attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+    return shapes
+
+
+def expert_param_shapes(
+    positions: tuple[int, ...], inner_width: int, d_model: int
+) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of an expert with these sublayers."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for pos in positions:
+        pre = f"p{pos}."
+        shapes.update({pre + "ln.g": (d_model,), pre + "ln.b": (d_model,),
+                       pre + "w1": (d_model, inner_width), pre + "b1": (inner_width,),
+                       pre + "w2": (inner_width, d_model), pre + "b2": (d_model,)})
+    return shapes
+
+
 def param_count(component) -> int:
     return sum(a.size for a in component.named_parameters().values())
 

@@ -2,11 +2,13 @@
 
 ``forward_batch`` runs a padded token batch through the backbone with an
 optional expert spliced in, optionally recording a tape of intermediates.
-``backward_batch`` walks that tape in reverse and accumulates gradients, but
-only for parameters named in the caller's trainable set; everything else gets
-activation gradients propagated through it and no parameter gradient at all.
-This is how the frozen backbone is excluded from differentiation structurally
-rather than by zeroing.
+``backward_batch`` walks that tape in reverse and computes gradients only for
+parameters named in the caller's trainable set: a frozen weight gets the
+activation gradient propagated through it and no weight gradient at all, and
+the walk stops below the lowest layer that holds a trainable tensor. This is
+how the frozen backbone is excluded from differentiation structurally rather
+than by zeroing, and why expert and planner training skip most of the
+backward work that pretraining does.
 
 All code is dtype-agnostic: parameter dtype (float32 in production, float64 in
 finite-difference tests) decides the computation dtype. Scalar constants are
@@ -42,11 +44,11 @@ def _mm(x, w):
     return x @ w
 
 
-def _mm_back(x, w, dy):
-    """Gradients of y = x @ w: returns (dx, dw)."""
+def _mm_back(x, w, dy, need_dw=True):
+    """Gradients of y = x @ w: returns (dx, dw); dw is None unless ``need_dw``."""
     di, do = w.shape
     dx = dy @ w.T
-    dw = x.reshape(-1, di).T @ dy.reshape(-1, do)
+    dw = x.reshape(-1, di).T @ dy.reshape(-1, do) if need_dw else None
     return dx, dw
 
 
@@ -61,16 +63,38 @@ def check_token_ids(ids: np.ndarray, vocab_size: int, what: str = "token") -> No
         raise TokenIdError(f"{what} id {bad} outside vocabulary [0, {vocab_size})")
 
 
+ATTN_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo")
+FFN_PARAMS = ("w1", "b1", "w2", "b2")
+
+
 def ffn_sources(backbone: BackboneModel, expert: ExpertSubnetwork | None):
-    """Per-layer feed-forward parameter source: (component, params, prefix)."""
+    """Per-layer feed-forward parameter source: (component, params, prefix,
+    norm prefix). The sublayer's weights are ``prefix + FFN_PARAMS`` and its
+    pre-norm is ``norm prefix + "g"/"b"``, all in ``params``."""
     srcs = []
     positions = set(expert.positions) if expert is not None else set()
     for i in range(backbone.config.n_layers):
         if i in positions:
-            srcs.append(("expert", expert.params, f"p{i}."))
+            srcs.append(("expert", expert.params, f"p{i}.", f"p{i}.ln."))
         else:
-            srcs.append(("backbone", backbone.params, f"layers.{i}.ffn."))
+            srcs.append(("backbone", backbone.params, f"layers.{i}.ffn.", f"layers.{i}.ln2."))
     return srcs
+
+
+def _lowest_trainable_layer(n_layers: int, srcs, trainable: set[GradKey]):
+    """(lowest layer holding a trainable tensor, whether that layer's
+    attention block holds one). The layer is -1 when the embeddings are
+    trainable and ``n_layers`` when no layer is."""
+    if ("backbone", "embed") in trainable or ("backbone", "pos") in trainable:
+        return -1, True
+    for i in range(n_layers):
+        attn = any(("backbone", f"layers.{i}.{n}") in trainable for n in ATTN_PARAMS)
+        comp, _, fpre, lnpre = srcs[i]
+        ffn = any((comp, n) in trainable
+                  for n in (*(fpre + w for w in FFN_PARAMS), lnpre + "g", lnpre + "b"))
+        if attn or ffn:
+            return i, attn
+    return n_layers, False
 
 
 def forward_batch(
@@ -138,9 +162,8 @@ def forward_batch(
         attn_out = _mm(merged, p[pre + "attn.wo"])
         x1 = x0 + attn_out
 
-        comp, fp, fpre = srcs[i]
-        ln_g, ln_b = (fpre + "ln.g", fpre + "ln.b") if comp == "expert" else (pre + "ln2.g", pre + "ln2.b")
-        h2, ln2c = layer_norm_fwd(x1, fp[ln_g], fp[ln_b])
+        _, fp, fpre, lnpre = srcs[i]
+        h2, ln2c = layer_norm_fwd(x1, fp[lnpre + "g"], fp[lnpre + "b"])
         pre_act = _mm(h2, fp[fpre + "w1"])
         pre_act += fp[fpre + "b1"]
         act, tanh_u = gelu_fwd(pre_act)
@@ -180,27 +203,34 @@ def backward_batch(
     Either ``dlogits`` (gradient at the output head) or ``dhidden`` (gradient
     at the final-norm output, used by the planner's scorer) seeds the pass;
     both may be given and are accumulated.
+
+    A weight gradient is computed only for a key in ``trainable``. The pass
+    walks down the layers only as far as the lowest layer that holds a
+    trainable tensor, and at that layer it stops after the feed-forward
+    sublayer when the attention block (``ln1`` and the projections) is
+    frozen. With everything trainable (pretraining) it runs the full pass.
+    The gradients it returns do not depend on which other keys are trainable.
     """
     c = backbone.config
     p = backbone.params
     grads: dict[GradKey, np.ndarray] = {}
 
+    def need(comp, name):
+        return (comp, name) in trainable
+
     def add(comp, name, val):
-        key = (comp, name)
-        if key in trainable:
-            if key in grads:
-                grads[key] += val
-            else:
-                grads[key] = val
+        if need(comp, name):
+            grads[(comp, name)] = val
 
     scale = 1.0 / math.sqrt(c.d_model // c.n_heads)
     srcs = ffn_sources(backbone, expert)
+    lowest, lowest_attn = _lowest_trainable_layer(c.n_layers, srcs, trainable)
     tokens = tape["tokens"]
     b = tokens.shape[0]
 
     dh = np.zeros_like(tape["hidden"])
     if dlogits is not None:
-        dx_h, dhead = _mm_back(tape["hidden"], p["head"], dlogits)
+        dx_h, dhead = _mm_back(tape["hidden"], p["head"], dlogits, need("backbone", "head"))
         add("backbone", "head", dhead)
         dh += dx_h
     if dhidden is not None:
@@ -209,32 +239,32 @@ def backward_batch(
     add("backbone", "ln_f.g", dg)
     add("backbone", "ln_f.b", db)
 
-    for i in reversed(range(c.n_layers)):
+    for i in reversed(range(max(lowest, 0), c.n_layers)):
         lt = tape["layers"][i]
         pre = f"layers.{i}."
-        comp, fp, fpre = srcs[i]
+        comp, fp, fpre, lnpre = srcs[i]
 
         # feed-forward block: x = x1 + f(ln(x1))
         df = dx
-        dact, dw2 = _mm_back(lt["act"], fp[fpre + "w2"], df)
+        dact, dw2 = _mm_back(lt["act"], fp[fpre + "w2"], df, need(comp, fpre + "w2"))
         add(comp, fpre + "w2", dw2)
-        add(comp, fpre + "b2", df.reshape(-1, df.shape[-1]).sum(axis=0))
+        if need(comp, fpre + "b2"):
+            add(comp, fpre + "b2", df.reshape(-1, df.shape[-1]).sum(axis=0))
         dpre = gelu_grad_from_tanh(lt["pre"], lt["tanh_u"])
         dpre *= dact
-        dh2, dw1 = _mm_back(lt["h2"], fp[fpre + "w1"], dpre)
+        dh2, dw1 = _mm_back(lt["h2"], fp[fpre + "w1"], dpre, need(comp, fpre + "w1"))
         add(comp, fpre + "w1", dw1)
-        add(comp, fpre + "b1", dpre.reshape(-1, dpre.shape[-1]).sum(axis=0))
+        if need(comp, fpre + "b1"):
+            add(comp, fpre + "b1", dpre.reshape(-1, dpre.shape[-1]).sum(axis=0))
         dx1_norm, dg2, db2 = layer_norm_bwd(dh2, lt["ln2c"])
-        if comp == "expert":
-            add("expert", fpre + "ln.g", dg2)
-            add("expert", fpre + "ln.b", db2)
-        else:
-            add("backbone", pre + "ln2.g", dg2)
-            add("backbone", pre + "ln2.b", db2)
+        add(comp, lnpre + "g", dg2)
+        add(comp, lnpre + "b", db2)
+        if i == lowest and not lowest_attn:
+            break
         dx = dx + dx1_norm
 
         # attention block: x1 = x0 + wo(attn(ln(x0)))
-        dmerged, dwo = _mm_back(lt["merged"], p[pre + "attn.wo"], dx)
+        dmerged, dwo = _mm_back(lt["merged"], p[pre + "attn.wo"], dx, need("backbone", pre + "attn.wo"))
         add("backbone", pre + "attn.wo", dwo)
         dctx = _heads_split(dmerged, c.n_heads)
         probs, qh, kh, vh = lt["probs"], lt["qh"], lt["kh"], lt["vh"]
@@ -254,19 +284,20 @@ def backward_batch(
         h1 = lt["h1"]
         dh1 = np.zeros_like(h1)
         for name, dterm in (("wq", dq), ("wk", dk), ("wv", dv)):
-            dxi, dwi = _mm_back(h1, p[pre + "attn." + name], dterm)
-            add("backbone", pre + "attn." + name, dwi)
+            key = pre + "attn." + name
+            dxi, dwi = _mm_back(h1, p[key], dterm, need("backbone", key))
+            add("backbone", key, dwi)
             dh1 += dxi
         dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"])
         add("backbone", pre + "ln1.g", dg1)
         add("backbone", pre + "ln1.b", db1)
         dx = dx + dx0_norm
 
-    if ("backbone", "embed") in trainable:
+    if need("backbone", "embed"):
         dembed = np.zeros_like(p["embed"])
         np.add.at(dembed, tokens, dx)
         grads[("backbone", "embed")] = dembed
-    if ("backbone", "pos") in trainable:
+    if need("backbone", "pos"):
         t = tokens.shape[1]
         dpos = np.zeros_like(p["pos"])
         dpos[:t] = dx.sum(axis=0)

@@ -25,6 +25,7 @@ import numpy as np
 from . import domains as dom
 from .decoding import greedy_decode
 from .errors import GatingError, RoutingError, UnknownExpertError
+from .kernels import NEG_INF
 from .model import BackboneModel, ExpertSubnetwork, copy_params
 from .net import GradKey, backward_batch, forward_batch
 from .rng import Rng
@@ -56,9 +57,6 @@ class MappingMatrix:
     def drop_expert(self, expert_id: int) -> None:
         for row in self.rows.values():
             row.pop(expert_id, None)
-
-    def domains(self) -> list[str]:
-        return sorted(self.rows)
 
     def to_records(self) -> list[dict]:
         return [
@@ -210,34 +208,40 @@ def init_planner(
     )
 
 
-def score_tokens(
+def score_batch(
     planner: PlannerExpert,
     backbone: BackboneModel,
-    tokens: list[int],
+    token_lists: list[list[int]],
     want_tape: bool = False,
 ):
-    """Match scores [n_experts + 1] for one subtask's token sequence.
+    """Match scores [b, n_experts + 1] for ``b`` subtasks' token sequences.
 
-    The last slot is STOP. With ``want_tape`` also returns everything needed
-    for the backward pass.
+    The last slot of each row is STOP. The rows are right-padded with token 0
+    into one ``forward_batch`` pass: causal attention keeps the pads out of
+    every real position, and the indicator cross-attention masks pad keys, so
+    each row scores as it would alone. With ``want_tape`` also returns
+    everything ``score_backward`` needs.
     """
-    if not tokens:
+    if not token_lists or not all(token_lists):
         raise RoutingError("empty subtask")
-    arr = np.asarray([tokens], dtype=np.int64)
-    _, hidden, tape = forward_batch(backbone, arr, expert=planner.expert, want_tape=want_tape)
-    h = hidden[0]  # [t, d]
-    w = planner.indicators
+    lengths = np.asarray([len(t) for t in token_lists])
+    arr = np.zeros((len(token_lists), int(lengths.max())), dtype=np.int64)
+    for row, toks in zip(arr, token_lists):
+        row[: len(toks)] = toks
+    _, h, tape = forward_batch(backbone, arr, expert=planner.expert, want_tape=want_tape)
+    pad = np.arange(arr.shape[1]) >= lengths[:, None]  # [b, t]
     s = planner.scorer
-    d = h.shape[-1]
-    scale = 1.0 / math.sqrt(d)
-    q = w @ s["wq"]
-    k = h @ s["wk"]
+    scale = 1.0 / math.sqrt(h.shape[-1])
+    q = planner.indicators @ s["wq"]  # [n+1, d]
+    k = h @ s["wk"]  # [b, t, d]
     v = h @ s["wv"]
-    att = q @ k.T * scale
+    att = np.matmul(q, k.transpose(0, 2, 1))  # [b, n+1, t]
+    att *= scale
+    np.copyto(att, NEG_INF, where=pad[:, None, :])
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
-    ctx = att @ v
+    ctx = att @ v  # [b, n+1, d]
     out = ctx @ s["wo"]
     scores = out @ s["fw"] + s["fb"][0]
     if not want_tape:
@@ -247,6 +251,24 @@ def score_tokens(
     return scores, score_tape
 
 
+def score_tokens(
+    planner: PlannerExpert,
+    backbone: BackboneModel,
+    tokens: list[int],
+    want_tape: bool = False,
+):
+    """Match scores [n_experts + 1] for one subtask: a one-row ``score_batch``.
+
+    The tape it returns with ``want_tape`` is a one-row batch tape, which
+    ``score_backward`` takes with 1-D ``dscores``.
+    """
+    out = score_batch(planner, backbone, [tokens], want_tape)
+    if not want_tape:
+        return out[0]
+    scores, score_tape = out
+    return scores[0], score_tape
+
+
 def score_backward(
     planner: PlannerExpert,
     backbone: BackboneModel,
@@ -254,13 +276,18 @@ def score_backward(
     dscores: np.ndarray,
     trainable: set[GradKey],
 ) -> dict[GradKey, np.ndarray]:
-    """Backward through the scorer and the planner-expert stack."""
+    """Backward through the scorer and the planner-expert stack.
+
+    ``dscores`` is [b, n_experts + 1] for a ``score_batch`` tape; a 1-D
+    ``dscores`` is one row. The gradients are summed over the rows.
+    """
     s = planner.scorer
     w = planner.indicators
     h = score_tape["h"]
     q, k, v = score_tape["q"], score_tape["k"], score_tape["v"]
     att, ctx, out = score_tape["att"], score_tape["ctx"], score_tape["out"]
     scale = score_tape["scale"]
+    dscores = np.asarray(dscores).reshape(att.shape[:2])
 
     grads: dict[GradKey, np.ndarray] = {}
 
@@ -268,27 +295,30 @@ def score_backward(
         if key in trainable:
             grads[key] = grads.get(key, 0) + val
 
-    add(("planner", "scorer.fw"), out.T @ dscores)
+    def flat(a):
+        return a.reshape(-1, a.shape[-1])
+
+    add(("planner", "scorer.fw"), flat(out).T @ dscores.reshape(-1))
     add(("planner", "scorer.fb"), np.asarray([dscores.sum()], dtype=out.dtype))
-    dout = dscores[:, None] * s["fw"][None, :]
-    add(("planner", "scorer.wo"), ctx.T @ dout)
+    dout = dscores[..., None] * s["fw"]
+    add(("planner", "scorer.wo"), flat(ctx).T @ flat(dout))
     dctx = dout @ s["wo"].T
-    datt = dctx @ v.T
-    dv = att.T @ dctx
-    datt = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-    dq = datt @ k * scale
-    dk = datt.T @ q * scale
+    datt = dctx @ v.transpose(0, 2, 1)
+    dv = att.transpose(0, 2, 1) @ dctx
+    datt = att * (datt - (datt * att).sum(axis=-1, keepdims=True))  # 0 at pad keys
+    dq = (datt @ k).sum(axis=0) * scale
+    dk = datt.transpose(0, 2, 1) @ q * scale
     add(("planner", "indicators"), dq @ s["wq"].T)
     add(("planner", "scorer.wq"), w.T @ dq)
-    add(("planner", "scorer.wk"), h.T @ dk)
-    add(("planner", "scorer.wv"), h.T @ dv)
+    add(("planner", "scorer.wk"), flat(h).T @ flat(dk))
+    add(("planner", "scorer.wv"), flat(h).T @ flat(dv))
     dh = dk @ s["wk"].T + dv @ s["wv"].T
     stack = backward_batch(
         backbone,
         score_tape["stack_tape"],
         trainable,
         expert=planner.expert,
-        dhidden=dh[None],
+        dhidden=dh,
     )
     for key, val in stack.items():
         grads[key] = grads.get(key, 0) + val

@@ -34,6 +34,7 @@ from .rng import Rng
 from .tokenizer import EOS, PAD, decode
 
 LN_EPS_DENOM = 1e-12
+EVAL_CHUNK = 64  # planner steps scored per forward pass in evaluate_planner
 
 
 @dataclass
@@ -355,21 +356,6 @@ def build_planner_dataset(
     return tasks
 
 
-def shuffle_task_labels(tasks: list[PlannerTask], expert_ids: list[int], rng: Rng) -> list[PlannerTask]:
-    """Control condition: relabel every step uniformly at random."""
-    from .routing import STOP
-
-    pool = list(expert_ids) + [STOP]
-    out = []
-    for task in tasks:
-        steps = [
-            PlannerStep(tokens=s.tokens, label=pool[int(rng.integers(0, len(pool)))])
-            for s in task.steps
-        ]
-        out.append(PlannerTask(steps=steps, order=task.order, kind=task.kind))
-    return out
-
-
 def _label_slot(planner, label: int) -> int:
     from .routing import STOP
 
@@ -392,7 +378,7 @@ def train_planner(
     Divergence aborts with ``DivergenceError`` carrying the latest snapshot of
     the trainable parameters, as in ``_run_training``.
     """
-    from .routing import score_backward, score_tokens
+    from .routing import score_backward, score_batch
 
     cfg.validate()
     if not backbone.frozen:
@@ -408,36 +394,27 @@ def train_planner(
     snapshot = {k: v.copy() for k, v in params.items()}
     for step in range(cfg.steps):
         batch = [samples[int(rng.integers(0, len(samples)))] for _ in range(cfg.batch_size)]
-        acc_grads: dict[GradKey, np.ndarray] = {}
-        total_loss = 0.0
-        hits = 0
-        for tokens, slot in batch:
-            try:
-                scores, tape = score_tokens(planner, backbone, tokens, want_tape=True)
-            except NumericError as exc:
-                raise DivergenceError(
-                    f"{exc} in planner step {step}", last_good=snapshot
-                ) from exc
-            z = scores - scores.max()
-            ez = np.exp(z)
-            probs = ez / ez.sum()
-            total_loss += -math.log(max(float(probs[slot]), LN_EPS_DENOM))
-            hits += int(np.argmax(scores) == slot)
-            dscores = probs.copy()
-            dscores[slot] -= 1.0
-            dscores /= len(batch)
-            g = score_backward(planner, backbone, tape, dscores, trainable)
-            for k, v in g.items():
-                if k in acc_grads:
-                    acc_grads[k] += v
-                else:
-                    acc_grads[k] = v
-        loss = total_loss / len(batch)
+        rows = np.arange(len(batch))
+        slots = np.asarray([slot for _, slot in batch])
+        try:
+            scores, tape = score_batch(planner, backbone, [t for t, _ in batch], want_tape=True)
+        except NumericError as exc:
+            raise DivergenceError(
+                f"{exc} in planner step {step}", last_good=snapshot
+            ) from exc
+        ez = np.exp(scores - scores.max(axis=1, keepdims=True))
+        probs = ez / ez.sum(axis=1, keepdims=True)
+        loss = -float(np.log(np.maximum(probs[rows, slots], LN_EPS_DENOM)).mean())
+        hits = int((np.argmax(scores, axis=1) == slots).sum())
+        dscores = probs
+        dscores[rows, slots] -= 1.0
+        dscores /= len(batch)
+        grads = score_backward(planner, backbone, tape, dscores, trainable)
         if not math.isfinite(loss):
             raise DivergenceError(
                 f"non-finite planner loss at step {step}", last_good=snapshot
             )
-        opt.step(acc_grads, lr_at(cfg, step))
+        opt.step(grads, lr_at(cfg, step))
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             curve.append(LossRecord(step=step, loss=loss, token_accuracy=hits / len(batch)))
         if cfg.snapshot_every and step % cfg.snapshot_every == 0:
@@ -464,18 +441,23 @@ class PlannerMetrics:
 
 
 def evaluate_planner(planner, backbone: BackboneModel, tasks: list[PlannerTask]) -> PlannerMetrics:
-    """Teacher-forced routing accuracy on held-out tasks."""
-    from .routing import score_tokens
+    """Teacher-forced routing accuracy on held-out tasks; the steps are scored
+    ``EVAL_CHUNK`` at a time through ``score_batch``."""
+    from .routing import score_batch
 
+    steps = [s for task in tasks for s in task.steps]
+    preds: list[int] = []
+    for lo in range(0, len(steps), EVAL_CHUNK):
+        chunk = [s.tokens for s in steps[lo : lo + EVAL_CHUNK]]
+        preds += np.argmax(score_batch(planner, backbone, chunk), axis=1).tolist()
     n_single = n_double = 0
     single_hits = double_hits = seq_hits = 0
+    lo = 0
     for task in tasks:
-        preds = []
-        for s in task.steps:
-            scores = score_tokens(planner, backbone, s.tokens)
-            preds.append(int(np.argmax(scores)))
+        task_preds = preds[lo : lo + len(task.steps)]
+        lo += len(task.steps)
         labels = [_label_slot(planner, s.label) for s in task.steps]
-        routed = preds[: len(task.order)]
+        routed = task_preds[: len(task.order)]
         want = labels[: len(task.order)]
         if task.kind == "single":
             n_single += 1
@@ -483,7 +465,7 @@ def evaluate_planner(planner, backbone: BackboneModel, tasks: list[PlannerTask])
         else:
             n_double += 1
             double_hits += int(routed == want)
-        seq_hits += int(preds == labels)
+        seq_hits += int(task_preds == labels)
     return PlannerMetrics(
         single_selection_accuracy=single_hits / max(n_single, 1),
         double_order_accuracy=double_hits / max(n_double, 1),
@@ -492,20 +474,3 @@ def evaluate_planner(planner, backbone: BackboneModel, tasks: list[PlannerTask])
         n_double=n_double,
     )
 
-
-def pretrain_probe_loss(backbone: BackboneModel, seed: int = 1234, batches: int = 4,
-                        batch_size: int = 32) -> float:
-    """Mean tagged mixed-domain loss on a fixed probe stream."""
-    rng = Rng(seed).child("probe")
-    total = 0.0
-    names = dom.DOMAIN_NAMES
-    for _ in range(batches):
-        ex = [
-            dom.sample_example(dom.DOMAINS[names[int(rng.integers(0, len(names)))]], rng, tagged=True)
-            for _ in range(batch_size)
-        ]
-        tokens, targets, mask = batchify(ex)
-        logits, _, _ = forward_batch(backbone, tokens)
-        loss, _ = nll_loss(logits, targets, mask)
-        total += loss
-    return total / batches

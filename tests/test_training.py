@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from ccoe import domains as dom
+from ccoe import training
+from ccoe.bench import STRATEGY_NAMES, strategy_positions
 from ccoe.checkpoint import digest
 from ccoe.errors import (
     ConfigError,
@@ -18,7 +20,7 @@ from ccoe.errors import (
 from ccoe.model import ModelConfig, deep_copy_backbone, init_backbone, init_expert
 from ccoe.net import backward_batch, forward_batch
 from ccoe.rng import Rng
-from ccoe.routing import STOP, init_planner, score_backward, score_tokens
+from ccoe.routing import STOP, init_planner, score_backward, score_batch, score_tokens
 from ccoe.tokenizer import PAD, VOCAB_SIZE
 from ccoe.training import (
     Adam,
@@ -26,6 +28,8 @@ from ccoe.training import (
     PlannerTask,
     TrainConfig,
     batchify,
+    build_planner_dataset,
+    evaluate_planner,
     loss_and_grads,
     nll_loss,
     pretrain_backbone,
@@ -232,6 +236,74 @@ def test_planner_gradients_match_finite_differences():
                 assert rel < 1e-4, f"{key}[{ix}]: fd {fd} vs analytic {gf[ix]}"
 
 
+def f64_planner(config, ids, positions, rng):
+    planner = init_planner(config, ids, positions, rng)
+    planner.expert.params = {k: v.astype(np.float64) for k, v in planner.expert.params.items()}
+    planner.indicators = planner.indicators.astype(np.float64)
+    planner.scorer = {k: v.astype(np.float64) for k, v in planner.scorer.items()}
+    return planner
+
+
+def test_score_batch_matches_per_row_scores_and_summed_gradients():
+    rng = Rng(21)
+    model = as_f64(init_backbone(TINY, rng.child("bb")))
+    model.freeze()
+    planner = f64_planner(TINY, [0, 2, 5], (0, 2), rng.child("pl"))
+    data = Rng(22)
+    rows = [[int(t) for t in data.integers(0, TINY.vocab_size, n)] for n in (11, 20, 14, 17, 11)]
+    dscores = data.normal((len(rows), 4), 1.0).astype(np.float64)
+    trainable = set(planner.trainable_parameters())
+
+    scores, tape = score_batch(planner, model, rows, want_tape=True)
+    grads = score_backward(planner, model, tape, dscores, trainable)
+    want_grads: dict = {}
+    for i, toks in enumerate(rows):
+        one, one_tape = score_tokens(planner, model, toks, want_tape=True)
+        assert np.allclose(scores[i], one, rtol=0, atol=1e-12)
+        for key, g in score_backward(planner, model, one_tape, dscores[i], trainable).items():
+            want_grads[key] = want_grads.get(key, 0) + g
+    assert set(grads) == set(want_grads) == trainable
+    for key, g in grads.items():
+        assert np.allclose(g, want_grads[key], rtol=0, atol=1e-12), key
+
+    # a longer row widens the padding of every other row but not its scores
+    longer = score_batch(planner, model, rows + [[3] * TINY.max_seq])
+    assert np.allclose(longer[: len(rows)], scores, rtol=0, atol=1e-12)
+
+
+def test_evaluate_planner_equals_per_step_argmax(monkeypatch):
+    config = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=12,
+                         vocab_size=VOCAB_SIZE, max_seq=64)
+    rng = Rng(23)
+    model = init_backbone(config, rng.child("bb")).freeze()
+    names = dom.DOMAIN_NAMES
+    planner = init_planner(config, list(range(len(names))), (1,), rng.child("pl"))
+    tasks = build_planner_dataset({n: i for i, n in enumerate(names)}, 12, Rng(24))
+    preds = [[int(np.argmax(score_tokens(planner, model, s.tokens))) for s in task.steps]
+             for task in tasks]
+    # the untrained planner routes every task wrong; relabel every other task
+    # with its own per-step choices so that the metrics count hits
+    slot_ids = planner.indicator_ids + [STOP]
+    for task, task_preds in zip(tasks[::2], preds[::2]):
+        for step, slot in zip(task.steps, task_preds):
+            step.label = slot_ids[slot]
+    monkeypatch.setattr(training, "EVAL_CHUNK", 5)  # chunks split tasks
+    got = evaluate_planner(planner, model, tasks)
+
+    single = double = seq = 0
+    for task, task_preds in zip(tasks, preds):
+        labels = [slot_ids.index(s.label) for s in task.steps]
+        routed = task_preds[: len(task.order)] == labels[: len(task.order)]
+        single += task.kind == "single" and routed
+        double += task.kind == "double" and routed
+        seq += task_preds == labels
+    assert 0 < seq < len(tasks)
+    assert got.n_single + got.n_double == len(tasks)
+    assert got.single_selection_accuracy == single / max(got.n_single, 1)
+    assert got.double_order_accuracy == double / max(got.n_double, 1)
+    assert got.sequence_accuracy == seq / len(tasks)
+
+
 # --- structural exclusion & isolation ---------------------------------------------
 
 
@@ -259,6 +331,60 @@ def test_backward_never_produces_backbone_grads_for_expert_training():
                            dlogits=np.ones_like(logits))
     assert all(comp == "expert" for comp, _ in grads)
     assert set(grads) == trainable
+
+
+DEEP = ModelConfig(n_layers=6, d_model=8, n_heads=2, d_ff=12, vocab_size=20, max_seq=24)
+
+
+def backbone_keys(model):
+    return {("backbone", k) for k in model.params}
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_frozen_aware_backward_returns_the_full_pass_gradients(strategy):
+    rng = Rng(31)
+    model = init_backbone(DEEP, rng.child("bb"))
+    expert = init_expert(DEEP, 0, "d", strategy_positions(strategy, DEEP.n_layers, 2),
+                         rng.child("ex"), inner_width=10)
+    tokens = np.asarray([[1, 5, 3, 9, 2], [4, 4, 8, 0, 7]], dtype=np.int64)
+    logits, _, tape = forward_batch(model, tokens, expert=expert, want_tape=True)
+    dlogits = Rng(32).normal(logits.shape, 1.0)
+    trainable = {("expert", k) for k in expert.params}
+    grads = backward_batch(model, tape, trainable, expert=expert, dlogits=dlogits)
+    full = backward_batch(model, tape, trainable | backbone_keys(model), expert=expert,
+                          dlogits=dlogits)
+    assert set(grads) == trainable
+    for key, g in grads.items():
+        assert np.array_equal(g, full[key]), key
+
+
+@pytest.mark.parametrize("names", [("layers.2.attn.wq",), ("layers.2.ln1.b", "layers.4.ffn.w2"),
+                                   ("layers.3.ln2.g",), ("head",)])
+def test_backward_of_a_partly_trainable_backbone_returns_the_full_pass_gradients(names):
+    model = init_backbone(DEEP, Rng(35))
+    tokens = np.asarray([[1, 5, 3, 9, 2], [4, 4, 8, 0, 7]], dtype=np.int64)
+    logits, _, tape = forward_batch(model, tokens, want_tape=True)
+    dlogits = Rng(36).normal(logits.shape, 1.0)
+    trainable = {("backbone", n) for n in names}
+    grads = backward_batch(model, tape, trainable, dlogits=dlogits)
+    full = backward_batch(model, tape, backbone_keys(model), dlogits=dlogits)
+    assert set(grads) == trainable
+    for key, g in grads.items():
+        assert np.array_equal(g, full[key]), key
+
+
+def test_frozen_aware_planner_backward_returns_the_full_pass_gradients():
+    rng = Rng(33)
+    model = init_backbone(DEEP, rng.child("bb"))
+    planner = init_planner(DEEP, [0, 1, 4], (2, 4), rng.child("pl"))
+    scores, tape = score_batch(planner, model, [[1, 5, 3, 9, 2, 7], [4, 8, 0]], want_tape=True)
+    dscores = Rng(34).normal(scores.shape, 1.0)
+    trainable = set(planner.trainable_parameters())
+    grads = score_backward(planner, model, tape, dscores, trainable)
+    full = score_backward(planner, model, tape, dscores, trainable | backbone_keys(model))
+    assert set(grads) == trainable
+    for key, g in grads.items():
+        assert np.array_equal(g, full[key]), key
 
 
 def test_zero_learning_rate_leaves_parameters_bit_unchanged():
