@@ -19,7 +19,7 @@ from .bench import (
 from .checkpoint import digest, load_checkpoint, save_checkpoint
 from .decoding import KvCache, greedy_decode
 from .domains import DOMAINS, SyntheticDomain
-from .kernels import causal_attention, layer_norm, matmul, softmax_rows
+from .kernels import layer_norm
 from .lifecycle import (
     ExpertRegistry,
     attach_planner,
@@ -64,14 +64,14 @@ __all__ = [
     "BackboneModel", "BenchReport", "DOMAINS", "ExecutionPath", "ExpertRegistry",
     "ExpertSubnetwork", "KvCache", "MappingMatrix", "ModelConfig", "PlannerExpert",
     "Rng", "STOP", "Subtask", "SyntheticDomain", "TrainConfig", "Workload",
-    "ablate_insertion", "attach_planner", "causal_attention", "digest",
+    "ablate_insertion", "attach_planner", "digest",
     "evaluate_exact_match", "evaluate_planner", "execute_plan", "forward_base",
     "forward_with_expert", "gate", "greedy_decode",
     "init_backbone", "init_expert", "init_planner", "layer_norm",
-    "load_checkpoint", "matmul", "memory_report", "nll_loss", "param_bytes",
+    "load_checkpoint", "memory_report", "nll_loss", "param_bytes",
     "plan_scores", "pop_copy", "pop_remove", "pretrain_backbone", "push",
     "run_adapter_baseline", "run_ccoe", "run_mdme_baseline", "save_checkpoint",
-    "select_expert", "softmax_rows", "strategy_positions", "train_expert",
+    "select_expert", "strategy_positions", "train_expert",
     "train_planner",
 ]
 

@@ -374,9 +374,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_route(args) -> int:
-    registry = load_registry(Manifest.load(args.manifest), need_planner=args.planner)
-    if not args.planner:
-        raise UsageError("route requires --planner")
+    registry = load_registry(Manifest.load(args.manifest), need_planner=True)
     text, path = execute_plan(args.prompt, registry.planner, registry,
                               max_steps=args.max_steps, max_new=args.max_new)
     names = [registry.experts[eid].domain for eid in path.expert_ids()]
@@ -537,7 +535,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("route", help="answer a prompt via planner routing")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--planner", action="store_true")
     p.add_argument("--prompt", required=True)
     p.add_argument("--max-steps", type=int, default=4)
     p.add_argument("--max-new", type=int, default=16)

@@ -1,25 +1,21 @@
 """Incremental greedy decoding with a per-sequence KV cache.
 
-The cache holds key/value buffers for one request's positions. Prefill fills
-the prompt's positions in one batched forward pass; each decode step then
-appends exactly one position per layer, so cache length always equals the
-number of tokens processed. A decode step attends over the cache with two
-matmuls per layer (query against the cached keys, then the weights against
-the cached values) and shares the layer norm of the batched pass. The no-cache
+The cache holds key/value rows for one request's positions. Prefill fills
+the prompt's positions in one ``forward_batch`` pass; each decode step is a
+one-token ``forward_batch`` pass that appends exactly one position per layer,
+so cache length always equals the number of tokens processed. Training,
+planner scoring, prefill and decode all run the same block. The no-cache
 path recomputes the full forward every step and must produce identical token
 sequences; tests hold the cached path to that oracle.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NumericError, SequenceLengthError, TokenIdError
-from .kernels import gelu, layer_norm_fwd
-from .model import BackboneModel, ExpertSubnetwork, validate_positions
-from .net import ffn_sources, forward_batch
+from .errors import SequenceLengthError
+from .model import BackboneModel, ExpertSubnetwork
+from .net import forward_batch
 from .tokenizer import EOS
 
 
@@ -27,7 +23,8 @@ class KvCache:
     """Per-layer cached keys/values for one in-flight decode.
 
     ``capacity`` positions (default: the model's ``max_seq``) are allocated up
-    front; ``k[i]`` and ``v[i]`` are [n_heads, capacity, head_dim].
+    front; ``k[i]`` and ``v[i]`` are token-major [capacity, d_model], so a
+    decode step writes one row per layer.
     """
 
     def __init__(self, model: BackboneModel, capacity: int | None = None):
@@ -35,10 +32,9 @@ class KvCache:
         capacity = c.max_seq if capacity is None else capacity
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
-        hd = c.d_model // c.n_heads
         dt = model.params["embed"].dtype
-        self.k = [np.empty((c.n_heads, capacity, hd), dtype=dt) for _ in range(c.n_layers)]
-        self.v = [np.empty((c.n_heads, capacity, hd), dtype=dt) for _ in range(c.n_layers)]
+        self.k = [np.empty((capacity, c.d_model), dtype=dt) for _ in range(c.n_layers)]
+        self.v = [np.empty((capacity, c.d_model), dtype=dt) for _ in range(c.n_layers)]
         self.capacity = capacity
         self.length = 0
 
@@ -54,57 +50,13 @@ def decode_step(
 ) -> np.ndarray:
     """Process one token at position len(cache); returns next-token logits [vocab].
 
-    Per layer, the token's key and value are written at that position and
-    attention over the cached positions is two matmuls. Raises
-    ``NumericError`` when the logits are not finite, as ``forward_batch``
-    does; the cache has then already taken the position.
+    A one-token ``forward_batch`` pass over the cache, with its checks: a
+    full cache raises ``SequenceLengthError``, an id outside the vocabulary
+    ``TokenIdError`` and a bad expert position ``RoutingConfigError``, all
+    before the cache changes. Non-finite logits raise ``NumericError`` after
+    the cache has taken the position.
     """
-    c = model.config
-    p = model.params
-    pos = cache.length
-    if pos >= cache.capacity:
-        raise SequenceLengthError(
-            f"decode position {pos} exceeds cache capacity {cache.capacity}"
-        )
-    if not 0 <= token < c.vocab_size:
-        raise TokenIdError(f"token id {token} outside vocabulary [0, {c.vocab_size})")
-    if expert is not None:
-        validate_positions(c, expert.positions)
-    n_heads = c.n_heads
-    hd = c.d_model // n_heads
-    scale = 1.0 / math.sqrt(hd)
-    srcs = ffn_sources(model, expert)
-
-    x = p["embed"][token] + p["pos"][pos]
-    for i in range(c.n_layers):
-        pre = f"layers.{i}."
-        h1, _ = layer_norm_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = (h1 @ p[pre + "attn.wq"]).reshape(n_heads, hd)
-        k = (h1 @ p[pre + "attn.wk"]).reshape(n_heads, hd)
-        v = (h1 @ p[pre + "attn.wv"]).reshape(n_heads, hd)
-        cache.k[i][:, pos, :] = k
-        cache.v[i][:, pos, :] = v
-        keys = cache.k[i][:, : pos + 1, :]
-        vals = cache.v[i][:, : pos + 1, :]
-        scores = np.matmul(keys, q[:, :, None])[:, :, 0]  # [h, pos+1]
-        scores *= scale
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
-        ctx = np.matmul(scores[:, None, :], vals).reshape(c.d_model)
-        x = x + ctx @ p[pre + "attn.wo"]
-
-        _, fp, fpre, lnpre = srcs[i]
-        h2, _ = layer_norm_fwd(x, fp[lnpre + "g"], fp[lnpre + "b"])
-        act = gelu(h2 @ fp[fpre + "w1"] + fp[fpre + "b1"])
-        x = x + act @ fp[fpre + "w2"] + fp[fpre + "b2"]
-
-    cache.length = pos + 1
-    hf, _ = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
-    logits = hf @ p["head"]
-    if not np.isfinite(logits).all():
-        raise NumericError(f"decode step at position {pos} produced non-finite logits")
-    return logits
+    return forward_batch(model, np.array([[token]]), expert, cache=cache)[0][0, 0]
 
 
 def greedy_decode(

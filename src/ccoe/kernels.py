@@ -1,11 +1,14 @@
-"""Deterministic float32 numeric kernels.
+"""Deterministic numeric kernels of the transformer block.
 
-Dense arrays (rank 1-3, row-major, float32) are the substrate for all model
-math; these four kernels are the contract surface the rest of the package
-builds on. Every kernel is a pure function, checks its output for non-finite
-values instead of letting NaN/Inf propagate silently, and is bit-identical
-across calls for identical inputs. Scalar constants stay Python floats so the
-same code runs in float64 when tests feed 64-bit parameter copies.
+The layer norm, causal scaled dot-product attention and the tanh-form GELU,
+each with the gradient its backward pass needs; ``net.forward_batch`` and
+``net.backward_batch`` call them for training, planner scoring, prefill and
+decode alike. ``layer_norm`` is the
+forward layer norm with its eps and finiteness checks, which the oracle tests
+hold to a float64 reference. Every kernel is a pure function and
+bit-identical across calls for identical inputs. Scalar constants stay Python
+floats so the same code runs in float64 when tests feed 64-bit parameter
+copies.
 """
 
 from __future__ import annotations
@@ -14,53 +17,34 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, NumericError
 
 NEG_INF = float("-inf")
 
 
-def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{name} produced non-finite values")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of [m,k] by [k,n]."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return check_finite("matmul", a @ b)
-
-
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis, with max subtraction for stability."""
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / np.sum(e, axis=-1, keepdims=True)
-    return check_finite("softmax_rows", out)
-
-
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
     """Layer norm over the last axis; also returns (xh, inv, gain) for
-    ``layer_norm_bwd``.
+    ``layer_norm_bwd``, with ``inv`` shaped [..., 1].
 
-    Each mean is ``np.add.reduce`` followed by an in-place divide, which is
-    what ``ndarray.mean`` computes, bit for bit, without its Python-level
-    wrapper: a decode step on an 8-layer model calls this 17 times on one row.
+    Each mean is ``np.add.reduce`` followed by a divide, which is what
+    ``ndarray.mean`` computes, bit for bit, without its Python-level wrapper.
+    A lone row ([d]) reduces to NumPy scalars: their arithmetic is the same
+    IEEE operations at about half the per-call cost of [1] arrays, and a
+    decode step on an 8-layer model calls this 17 times on one row.
     """
     n = x.shape[-1]
-    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    keep = x.ndim > 1
+    mu = np.add.reduce(x, axis=-1, keepdims=keep)
     mu /= n
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=keep)
     var /= n
     var += eps
-    inv = np.sqrt(var, out=var)
-    np.divide(1.0, inv, out=inv)
+    inv = 1.0 / np.sqrt(var)
     xc *= inv
     out = xc * gain
     out += bias
-    return out, (xc, inv, gain)
+    return out, (xc, inv.reshape(*x.shape[:-1], 1), gain)
 
 
 def layer_norm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,30 +68,66 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     """Per-row normalization to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ConfigError("layer_norm: eps must be positive")
-    return check_finite("layer_norm", layer_norm_fwd(x, gain, bias, eps)[0])
+    out = layer_norm_fwd(x, gain, bias, eps)[0]
+    if not np.isfinite(out).all():
+        raise NumericError("layer_norm produced non-finite values")
+    return out
 
 
-def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int) -> np.ndarray:
-    """Scaled dot-product attention over [t,d] with a strict causal mask.
+def causal_mask(t: int, start: int = 0) -> np.ndarray | None:
+    """Boolean [t, start + t] mask of the keys each of ``t`` queries at
+    positions ``start..start+t-1`` may not see; None for one query, which
+    sees every key before it."""
+    if t == 1:
+        return None
+    return np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)
 
-    Position i attends only to positions <= i. Heads are contiguous slices of
-    the feature axis.
+
+def _heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
+    """Token-major rows [b*t, d] (one row may be [d]) as a [b, h, t, hd] view."""
+    return a.reshape(b, -1, n_heads, a.shape[-1] // n_heads).transpose(0, 2, 1, 3)
+
+
+def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
+              future: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention of ``b`` sequences of token-major rows.
+
+    ``q`` is [b*t, d] (one query row may be [d]); ``k`` and ``v`` are
+    [b*s, d]. Heads are contiguous slices of the feature axis, taken as
+    views. ``future`` masks the keys a query may not see (see
+    ``causal_mask``). Returns (context rows shaped like ``q``, weights
+    [b, h, t, s]).
     """
-    t, d = q.shape
-    if d % n_heads != 0:
-        raise ConfigError(f"causal_attention: d={d} not divisible by n_heads={n_heads}")
-    hd = d // n_heads
-    scale = 1.0 / math.sqrt(hd)
-    qh = q.reshape(t, n_heads, hd).transpose(1, 0, 2)  # [h,t,hd]
-    kh = k.reshape(t, n_heads, hd).transpose(1, 0, 2)
-    vh = v.reshape(t, n_heads, hd).transpose(1, 0, 2)
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * scale  # [h,t,t]
-    mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-    scores = np.where(mask, NEG_INF, scores)
-    probs = softmax_rows(scores)
-    ctx = np.matmul(probs, vh)  # [h,t,hd]
-    out = ctx.transpose(1, 0, 2).reshape(t, d)
-    return check_finite("causal_attention", np.ascontiguousarray(out))
+    hd = q.shape[-1] // n_heads
+    kt = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)
+    probs = _heads(q, b, n_heads) @ kt
+    probs *= 1.0 / math.sqrt(hd)
+    if future is not None:
+        np.copyto(probs, NEG_INF, where=future)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    ctx = probs @ _heads(v, b, n_heads)
+    return ctx.transpose(0, 2, 1, 3).reshape(q.shape), probs
+
+
+def attention_bwd(dctx: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                  probs: np.ndarray, n_heads: int):
+    """Gradients of ``attention`` given its context gradient: returns
+    (dq, dk, dv), token-major rows like ``q``, ``k`` and ``v``."""
+    b = probs.shape[0]
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    dctx = _heads(dctx, b, n_heads)
+    dscores = dctx @ _heads(v, b, n_heads).transpose(0, 1, 3, 2)
+    dvh = probs.transpose(0, 1, 3, 2) @ dctx
+    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
+    dscores *= probs
+    dqh = dscores @ _heads(k, b, n_heads)
+    dqh *= scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ _heads(q, b, n_heads)
+    dkh *= scale
+    return tuple(g.transpose(0, 2, 1, 3).reshape(a.shape)
+                 for g, a in ((dqh, q), (dkh, k), (dvh, v)))
 
 
 GELU_C0 = math.sqrt(2.0 / math.pi)
@@ -129,11 +149,6 @@ def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, u
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Smooth GELU (tanh form)."""
-    return gelu_fwd(x)[0]
-
-
 def gelu_grad_from_tanh(x: np.ndarray, tanh_u: np.ndarray) -> np.ndarray:
     """d gelu / dx given the forward pass's cached tanh(u)."""
     du = x * x
@@ -150,13 +165,3 @@ def gelu_grad_from_tanh(x: np.ndarray, tanh_u: np.ndarray) -> np.ndarray:
     r *= 0.5
     r += s
     return r
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    u = x * x
-    u *= x
-    u *= GELU_C1
-    u += x
-    u *= GELU_C0
-    np.tanh(u, out=u)
-    return gelu_grad_from_tanh(x, u)

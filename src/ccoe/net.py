@@ -1,14 +1,16 @@
-"""Decoder stack forward and hand-written backward passes.
+"""The transformer block: one forward pass and its hand-written backward.
 
-``forward_batch`` runs a padded token batch through the backbone with an
-optional expert spliced in, optionally recording a tape of intermediates.
-``backward_batch`` walks that tape in reverse and computes gradients only for
-parameters named in the caller's trainable set: a frozen weight gets the
-activation gradient propagated through it and no weight gradient at all, and
-the walk stops below the lowest layer that holds a trainable tensor. This is
-how the frozen backbone is excluded from differentiation structurally rather
-than by zeroing, and why expert and planner training skip most of the
-backward work that pretraining does.
+``forward_batch`` is the only implementation of the decoder block. Training,
+planner scoring, prefill and decode all run it: it takes a padded token batch,
+splices in an optional expert, optionally records a tape of intermediates and
+optionally appends to a KV cache. ``backward_batch`` walks that tape in
+reverse and computes gradients only for parameters named in the caller's
+trainable set: a frozen weight gets the activation gradient propagated
+through it and no weight gradient at all, and the walk stops below the lowest
+layer that holds a trainable tensor. This is how the frozen backbone is
+excluded from differentiation structurally rather than by zeroing, and why
+expert and planner training skip most of the backward work that pretraining
+does.
 
 All code is dtype-agnostic: parameter dtype (float32 in production, float64 in
 finite-difference tests) decides the computation dtype. Scalar constants are
@@ -17,31 +19,21 @@ Python floats so they never promote float32 arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError, NumericError, SequenceLengthError, TokenIdError
-from .kernels import NEG_INF, gelu_fwd, gelu_grad_from_tanh, layer_norm_bwd, layer_norm_fwd
+from .kernels import (
+    attention,
+    attention_bwd,
+    causal_mask,
+    gelu_fwd,
+    gelu_grad_from_tanh,
+    layer_norm_bwd,
+    layer_norm_fwd,
+)
 from .model import BackboneModel, ExpertSubnetwork, validate_positions
 
 GradKey = tuple[str, str]  # (component, parameter name)
-
-
-def _heads_split(x, n_heads):
-    b, t, d = x.shape
-    hd = d // n_heads
-    return x.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3).reshape(b * n_heads, t, hd)
-
-
-def _heads_merge(x, b, n_heads):
-    bh, t, hd = x.shape
-    return x.reshape(b, n_heads, t, hd).transpose(0, 2, 1, 3).reshape(b, t, n_heads * hd)
-
-
-def _mm(x, w):
-    """[b,t,i] @ [i,o] -> [b,t,o]."""
-    return x @ w
 
 
 def _mm_back(x, w, dy, need_dw=True):
@@ -109,85 +101,88 @@ def forward_batch(
     ``hidden`` is the final-norm output (pre-head). The expert, when present,
     replaces the feed-forward sublayer (norm included) at its positions.
 
-    With ``cache`` (an empty ``decoding.KvCache``) the pass is a prefill: it
-    takes one untaped row, writes every layer's per-head keys and values for
-    the ``t`` positions into the cache, sets its length to ``t``, and returns
-    logits and hidden for the last position only ([1, 1, ...]).
+    The block is token-major: activations are rows [b*t, d], every dense op
+    is one flat matrix product and the heads are views. A lone row stays 1-D
+    ([d]), which spares a one-token decode step NumPy's per-call cost of the
+    extra axis.
+
+    With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped row
+    and appends its ``t`` positions at ``len(cache)``: every layer writes its
+    keys and values there and attends over all cached positions, and the
+    cache length grows by ``t``. It returns logits and hidden for the last
+    position only ([1, 1, ...]). An empty cache makes this a prefill, a
+    one-token row a decode step. When the logits are not finite the cache has
+    already taken the positions.
     """
     c = backbone.config
     p = backbone.params
     if expert is not None:
         validate_positions(c, expert.positions)
     b, t = tokens.shape
-    if t > c.max_seq:
-        raise SequenceLengthError(f"sequence length {t} exceeds max_seq {c.max_seq}")
+    start = 0
     if cache is not None:
         if b != 1 or want_tape:
             raise DimensionError(
-                f"prefill takes one row and no tape, got {b} rows, tape={want_tape}"
+                f"a cached pass takes one row and no tape, got {b} rows, tape={want_tape}"
             )
-        if len(cache):
-            raise DimensionError(f"prefill needs an empty cache; it holds {len(cache)} positions")
-        if t > cache.capacity:
-            raise SequenceLengthError(f"prompt of {t} exceeds cache capacity {cache.capacity}")
+        start = cache.length
+        if start + t > cache.capacity:
+            raise SequenceLengthError(
+                f"{t} positions after {start} exceed cache capacity {cache.capacity}"
+            )
+    elif t > c.max_seq:
+        raise SequenceLengthError(f"sequence length {t} exceeds max_seq {c.max_seq}")
     check_token_ids(tokens, c.vocab_size)
-    scale = 1.0 / math.sqrt(c.d_model // c.n_heads)
-    future = np.triu(np.ones((t, t), dtype=bool), k=1)  # causal mask
+    end = start + t
+    future = causal_mask(t, start)
     srcs = ffn_sources(backbone, expert)
 
-    x = p["embed"][tokens] + p["pos"][:t]
+    x = p["embed"][tokens] + p["pos"][start:end]
+    x = x.reshape((b * t, c.d_model) if b * t > 1 else (c.d_model,))
     layers_tape = []
     for i in range(c.n_layers):
         pre = f"layers.{i}."
-        x0 = x
         h1, ln1c = layer_norm_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = _mm(h1, p[pre + "attn.wq"])
-        k = _mm(h1, p[pre + "attn.wk"])
-        v = _mm(h1, p[pre + "attn.wv"])
-        qh, kh, vh = (_heads_split(a, c.n_heads) for a in (q, k, v))
+        q = h1 @ p[pre + "attn.wq"]
+        k = h1 @ p[pre + "attn.wk"]
+        v = h1 @ p[pre + "attn.wv"]
         if cache is not None:
-            cache.k[i][:, :t] = kh
-            cache.v[i][:, :t] = vh
-        scores = np.matmul(qh, kh.transpose(0, 2, 1))
-        scores *= scale
-        np.copyto(scores, NEG_INF, where=future)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        ctx = np.matmul(scores, vh)
-        # without a tape, free the [b*h, t, t] scores before the next layer's exist
-        probs = scores if want_tape else None
-        del scores
-        merged = _heads_merge(ctx, b, c.n_heads)
-        attn_out = _mm(merged, p[pre + "attn.wo"])
-        x1 = x0 + attn_out
+            cache.k[i][start:end] = k
+            cache.v[i][start:end] = v
+            k = cache.k[i][:end]
+            v = cache.v[i][:end]
+        merged, probs = attention(q, k, v, b, c.n_heads, future)
+        if not want_tape:
+            del probs  # free the [b, h, t, t] weights before the next layer's exist
+        x1 = x + merged @ p[pre + "attn.wo"]
 
         _, fp, fpre, lnpre = srcs[i]
         h2, ln2c = layer_norm_fwd(x1, fp[lnpre + "g"], fp[lnpre + "b"])
-        pre_act = _mm(h2, fp[fpre + "w1"])
+        pre_act = h2 @ fp[fpre + "w1"]
         pre_act += fp[fpre + "b1"]
         act, tanh_u = gelu_fwd(pre_act)
-        f_out = _mm(act, fp[fpre + "w2"])
+        f_out = act @ fp[fpre + "w2"]
         f_out += fp[fpre + "b2"]
         x = x1 + f_out
         if want_tape:
             layers_tape.append({
-                "h1": h1, "ln1c": ln1c, "qh": qh, "kh": kh, "vh": vh,
-                "probs": probs, "merged": merged, "x1": x1,
-                "h2": h2, "ln2c": ln2c, "pre": pre_act, "act": act, "tanh_u": tanh_u,
+                "h1": h1, "ln1c": ln1c, "q": q, "k": k, "v": v, "probs": probs,
+                "merged": merged, "h2": h2, "ln2c": ln2c, "pre": pre_act, "act": act,
+                "tanh_u": tanh_u,
             })
 
     if cache is not None:
-        cache.length = t
-        x = x[:, -1:]
+        cache.length = end
+        if x.ndim > 1:
+            x = x[-1]
     hidden, lnfc = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
-    logits = _mm(hidden, p["head"])
+    logits = hidden @ p["head"]
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
     tape = None
     if want_tape:
         tape = {"tokens": tokens, "layers": layers_tape, "hidden": hidden, "lnfc": lnfc}
-    return logits, hidden, tape
+    return logits.reshape(b, -1, c.vocab_size), hidden.reshape(b, -1, c.d_model), tape
 
 
 def backward_batch(
@@ -222,19 +217,20 @@ def backward_batch(
         if need(comp, name):
             grads[(comp, name)] = val
 
-    scale = 1.0 / math.sqrt(c.d_model // c.n_heads)
     srcs = ffn_sources(backbone, expert)
     lowest, lowest_attn = _lowest_trainable_layer(c.n_layers, srcs, trainable)
     tokens = tape["tokens"]
-    b = tokens.shape[0]
+    b, t = tokens.shape
+    hidden = tape["hidden"]  # rows, like every taped activation
 
-    dh = np.zeros_like(tape["hidden"])
+    dh = np.zeros_like(hidden)
     if dlogits is not None:
-        dx_h, dhead = _mm_back(tape["hidden"], p["head"], dlogits, need("backbone", "head"))
+        dlogits = dlogits.reshape(*hidden.shape[:-1], -1)
+        dx_h, dhead = _mm_back(hidden, p["head"], dlogits, need("backbone", "head"))
         add("backbone", "head", dhead)
         dh += dx_h
     if dhidden is not None:
-        dh += dhidden
+        dh += dhidden.reshape(hidden.shape)
     dx, dg, db = layer_norm_bwd(dh, tape["lnfc"])
     add("backbone", "ln_f.g", dg)
     add("backbone", "ln_f.b", db)
@@ -266,21 +262,7 @@ def backward_batch(
         # attention block: x1 = x0 + wo(attn(ln(x0)))
         dmerged, dwo = _mm_back(lt["merged"], p[pre + "attn.wo"], dx, need("backbone", pre + "attn.wo"))
         add("backbone", pre + "attn.wo", dwo)
-        dctx = _heads_split(dmerged, c.n_heads)
-        probs, qh, kh, vh = lt["probs"], lt["qh"], lt["kh"], lt["vh"]
-        dprobs = np.matmul(dctx, vh.transpose(0, 2, 1))
-        dvh = np.matmul(probs.transpose(0, 2, 1), dctx)
-        rowsum = (dprobs * probs).sum(axis=-1, keepdims=True)
-        dprobs -= rowsum
-        dprobs *= probs
-        dscores = dprobs
-        dqh = np.matmul(dscores, kh)
-        dqh *= scale
-        dkh = np.matmul(dscores.transpose(0, 2, 1), qh)
-        dkh *= scale
-        dq = _heads_merge(dqh, b, c.n_heads)
-        dk = _heads_merge(dkh, b, c.n_heads)
-        dv = _heads_merge(dvh, b, c.n_heads)
+        dq, dk, dv = attention_bwd(dmerged, lt["q"], lt["k"], lt["v"], lt["probs"], c.n_heads)
         h1 = lt["h1"]
         dh1 = np.zeros_like(h1)
         for name, dterm in (("wq", dq), ("wk", dk), ("wv", dv)):
@@ -293,12 +275,12 @@ def backward_batch(
         add("backbone", pre + "ln1.b", db1)
         dx = dx + dx0_norm
 
+    dx = dx.reshape(b, t, -1)
     if need("backbone", "embed"):
         dembed = np.zeros_like(p["embed"])
         np.add.at(dembed, tokens, dx)
         grads[("backbone", "embed")] = dembed
     if need("backbone", "pos"):
-        t = tokens.shape[1]
         dpos = np.zeros_like(p["pos"])
         dpos[:t] = dx.sum(axis=0)
         grads[("backbone", "pos")] = dpos

@@ -326,10 +326,19 @@ def test_prefill_rejects_two_rows_and_a_nonempty_cache(tiny_model):
     two_rows = np.asarray([[257, 1], [257, 2]], dtype=np.int64)
     with pytest.raises(DimensionError):
         forward_batch(tiny_model, two_rows, cache=KvCache(tiny_model))
-    used = KvCache(tiny_model)
-    decode_step(tiny_model, None, 257, used)
-    with pytest.raises(DimensionError):
-        forward_batch(tiny_model, np.asarray([[257, 1]], dtype=np.int64), cache=used)
+    # a used cache is appended to: a prefill in two chunks equals a one-shot prefill
+    model = _float64(deep_copy_backbone(tiny_model))
+    prompt = np.asarray([[257] + [int(t) for t in Rng(8).integers(0, 256, size=20)]])
+    whole = KvCache(model, 21)
+    whole_logits, _, _ = forward_batch(model, prompt, cache=whole)
+    chunked = KvCache(model, 21)
+    forward_batch(model, prompt[:, :9], cache=chunked)
+    chunk_logits, _, _ = forward_batch(model, prompt[:, 9:], cache=chunked)
+    assert len(chunked) == len(whole) == 21
+    for i in range(TINY.n_layers):
+        assert np.abs(chunked.k[i] - whole.k[i]).max() < 1e-12
+        assert np.abs(chunked.v[i] - whole.v[i]).max() < 1e-12
+    assert np.abs(chunk_logits - whole_logits).max() < 1e-12
     with pytest.raises(SequenceLengthError):
         forward_batch(tiny_model, np.asarray([[257, 1, 2]], dtype=np.int64),
                       cache=KvCache(tiny_model, 2))

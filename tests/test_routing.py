@@ -1,0 +1,79 @@
+"""Routing: mapping-matrix gating and iterative planner execution."""
+
+import numpy as np
+import pytest
+
+from ccoe.errors import GatingError, RoutingError, UnknownExpertError
+from ccoe.lifecycle import ExpertRegistry
+from ccoe.model import ModelConfig, deep_copy_backbone, init_backbone, init_expert
+from ccoe.rng import Rng
+from ccoe.routing import MappingMatrix, execute_plan, gate, init_planner
+
+TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=260, max_seq=64)
+
+
+@pytest.fixture(scope="module")
+def registry():
+    backbone = deep_copy_backbone(init_backbone(TINY, Rng(7)))
+    backbone.params["head"][:] = 0.0  # every logit ties, so each decode emits token 0
+    rng = Rng(8)
+    experts = {eid: init_expert(TINY, eid, name, (eid % TINY.n_layers,), rng.child(name))
+               for eid, name in ((1, "copy"), (4, "reverse"))}
+    return ExpertRegistry(backbone=backbone.freeze(), experts=experts)
+
+
+@pytest.fixture(scope="module")
+def tied_planner(registry):
+    planner = init_planner(TINY, sorted(registry.experts), (0,), Rng(9))
+    planner.scorer["fw"][:] = 0.0
+    planner.scorer["fb"][:] = 0.0
+    return planner
+
+
+# --- gating ---------------------------------------------------------------------
+
+
+def test_mapping_bit_that_is_not_binary_raises():
+    with pytest.raises(GatingError):
+        MappingMatrix(rows={"copy": {1: 2}})
+
+
+def test_gate_on_an_unknown_domain_tag_raises(registry):
+    with pytest.raises(GatingError):
+        gate(MappingMatrix(rows={"copy": {1: 1}}), registry, [("nope", "abc")])
+
+
+def test_gate_on_a_mapping_to_an_unregistered_expert_raises(registry):
+    with pytest.raises(UnknownExpertError):
+        gate(MappingMatrix(rows={"copy": {1: 1, 9: 1}}), registry, [("copy", "abc")])
+
+
+def test_gate_on_an_all_zero_row_gives_the_base_model(registry):
+    mapping = MappingMatrix(rows={"copy": {1: 0, 4: 0}, "both": {4: 1, 1: 1}})
+    base, both = gate(mapping, registry, [("copy", "abc"), ("both", "abc")])
+    assert base.steps == ()  # no expert step: the base model answers
+    assert both.expert_ids() == (1, 4)
+
+
+# --- planner execution ------------------------------------------------------------
+
+
+def test_execute_plan_rejects_a_zero_step_cap(registry, tied_planner):
+    with pytest.raises(RoutingError):
+        execute_plan("abc", tied_planner, registry, max_steps=0)
+
+
+def test_tied_scores_pick_the_lowest_id_until_the_step_cap(registry, tied_planner):
+    _text, path = execute_plan("abc", tied_planner, registry, max_steps=3, max_new=4)
+    assert len(path.steps) == 3  # STOP is the last slot, so it never wins a tie
+    assert path.expert_ids() == (1, 1, 1)
+    assert not path.truncated
+
+
+def test_execute_plan_flags_carried_context_trimmed_to_fit(registry, tied_planner):
+    # step 1 fits (50 + 4 tokens) and decodes 11 tokens into the 64-token
+    # window; step 2 needs 50 + 11 + 5 = 66 tokens, so the carried answer is trimmed
+    text, path = execute_plan("x" * 50, tied_planner, registry, max_steps=2, max_new=16)
+    assert len(path.steps) == 2
+    assert path.truncated
+    assert text == "\x00"  # step 2's prompt left room for one token
