@@ -83,6 +83,16 @@ def causal_mask(t: int, start: int = 0) -> np.ndarray | None:
     return np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)
 
 
+def segment_mask(positions: np.ndarray) -> np.ndarray:
+    """Boolean [b, 1, t, t] mask of the keys each query may not see in rows
+    of packed segments: ``positions`` [b, t] restart at 0 at each segment's
+    start, and query i sees keys ``i - positions[i] .. i``, the causal
+    prefix of its own segment."""
+    col = np.arange(positions.shape[1])
+    hidden = (col < (col - positions)[..., None]) | (col > col[:, None])
+    return hidden[:, None]
+
+
 def _heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     """Token-major rows [b*t, d] (one row may be [d]) as a [b, h, t, hd] view."""
     return a.reshape(b, -1, n_heads, a.shape[-1] // n_heads).transpose(0, 2, 1, 3)
@@ -95,8 +105,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     ``q`` is [b*t, d] (one query row may be [d]); ``k`` and ``v`` are
     [b*s, d]. Heads are contiguous slices of the feature axis, taken as
     views. ``future`` masks the keys a query may not see (see
-    ``causal_mask``). Returns (context rows shaped like ``q``, weights
-    [b, h, t, s]).
+    ``causal_mask`` and ``segment_mask``). Returns (context rows shaped like
+    ``q``, weights [b, h, t, s]).
     """
     hd = q.shape[-1] // n_heads
     kt = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)

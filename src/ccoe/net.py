@@ -1,8 +1,9 @@
 """The transformer block: one forward pass and its hand-written backward.
 
 ``forward_batch`` is the only implementation of the decoder block. Training,
-planner scoring, prefill and decode all run it: it takes a padded token batch,
-splices in an optional expert, optionally records a tape of intermediates and
+planner scoring, prefill and decode all run it: it takes a token batch, one
+sequence per row or several packed into each row (``pack``), splices in an
+optional expert, optionally records a tape of intermediates and
 optionally appends to a KV cache. ``backward_batch`` walks that tape in
 reverse and computes gradients only for parameters named in the caller's
 trainable set: a frozen weight gets the activation gradient propagated
@@ -19,6 +20,8 @@ Python floats so they never promote float32 arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DimensionError, NumericError, SequenceLengthError, TokenIdError
@@ -30,6 +33,7 @@ from .kernels import (
     gelu_grad_from_tanh,
     layer_norm_bwd,
     layer_norm_fwd,
+    segment_mask,
 )
 from .model import BackboneModel, ExpertSubnetwork, validate_positions
 
@@ -44,13 +48,24 @@ def _mm_back(x, w, dy, need_dw=True):
     return dx, dw
 
 
+def sum_rows_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """[n, ...] sums of the rows of ``values`` grouped by ``index``: entry r
+    adds up every ``values[j]`` with ``index.flat[j] == r``, for ints in
+    [0, n). One product with a one-hot matrix: at these sizes ``np.add.at``
+    takes about eight times as long."""
+    onehot = np.arange(n)[:, None] == index.reshape(-1)
+    out = onehot.astype(values.dtype) @ values.reshape(index.size, -1)
+    return out.reshape(n, *values.shape[index.ndim:])
+
+
 def check_token_ids(ids: np.ndarray, vocab_size: int, what: str = "token") -> None:
     """Raise ``TokenIdError`` unless every id lies in ``[0, vocab_size)``.
 
     NumPy indexing would otherwise raise a bare ``IndexError`` in the embedding
     lookup for an id >= vocab_size and wrap a negative id to a row from the end.
     """
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+    # one reduction: a negative id wraps to a huge unsigned one
+    if ids.size and ids.astype(np.uint64, copy=False).max() >= vocab_size:
         bad = int(ids[(ids < 0) | (ids >= vocab_size)].flat[0])
         raise TokenIdError(f"{what} id {bad} outside vocabulary [0, {vocab_size})")
 
@@ -59,18 +74,22 @@ ATTN_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo")
 FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 
+@functools.cache
+def _ffn_prefixes(n_layers: int) -> tuple[tuple[str, str, str, str], ...]:
+    """Per layer: (expert prefix, expert norm prefix, backbone prefix,
+    backbone norm prefix)."""
+    return tuple((f"p{i}.", f"p{i}.ln.", f"layers.{i}.ffn.", f"layers.{i}.ln2.")
+                 for i in range(n_layers))
+
+
 def ffn_sources(backbone: BackboneModel, expert: ExpertSubnetwork | None):
     """Per-layer feed-forward parameter source: (component, params, prefix,
     norm prefix). The sublayer's weights are ``prefix + FFN_PARAMS`` and its
     pre-norm is ``norm prefix + "g"/"b"``, all in ``params``."""
-    srcs = []
-    positions = set(expert.positions) if expert is not None else set()
-    for i in range(backbone.config.n_layers):
-        if i in positions:
-            srcs.append(("expert", expert.params, f"p{i}.", f"p{i}.ln."))
-        else:
-            srcs.append(("backbone", backbone.params, f"layers.{i}.ffn.", f"layers.{i}.ln2."))
-    return srcs
+    positions = expert.positions if expert is not None else ()
+    bp = backbone.params
+    return [("expert", expert.params, ep, elp) if i in positions else ("backbone", bp, fp, lnp)
+            for i, (ep, elp, fp, lnp) in enumerate(_ffn_prefixes(backbone.config.n_layers))]
 
 
 def _lowest_trainable_layer(n_layers: int, srcs, trainable: set[GradKey]):
@@ -89,30 +108,68 @@ def _lowest_trainable_layer(n_layers: int, srcs, trainable: set[GradKey]):
     return n_layers, False
 
 
+def pack(lengths: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay sequences of ``lengths`` into rows as wide as the longest.
+
+    Rows are filled first-fit decreasing, so there are never more rows than
+    sequences. Returns (row, start, positions): sequence ``i`` occupies
+    columns ``start[i] : start[i] + lengths[i]`` of row ``row[i]``, and
+    ``positions`` [rows, width], as ``forward_batch`` takes it, restarts at 0
+    at each sequence's start and at the pad slots that end a row.
+    """
+    width = max(lengths)
+    row = np.empty(len(lengths), dtype=np.int64)
+    start = np.empty_like(row)
+    fill: list[int] = []
+    # a stable sort: equal lengths keep their input order
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        n = lengths[i]
+        r = next((r for r, used in enumerate(fill) if used + n <= width), len(fill))
+        if r == len(fill):
+            fill.append(0)
+        row[i], start[i] = r, fill[r]
+        fill[r] += n
+    first = np.zeros((len(fill), width), dtype=np.int64)
+    first[row, start] = start
+    used = np.asarray(fill)
+    tail = np.nonzero(used < width)[0]
+    first[tail, used[tail]] = used[tail]
+    return row, start, np.arange(width) - np.maximum.accumulate(first, axis=1)
+
+
 def forward_batch(
     backbone: BackboneModel,
     tokens: np.ndarray,
     expert: ExpertSubnetwork | None = None,
     want_tape: bool = False,
     cache=None,
+    positions: np.ndarray | None = None,
 ):
     """Forward a [b,t] int token batch; returns (logits, hidden, tape).
 
     ``hidden`` is the final-norm output (pre-head). The expert, when present,
     replaces the feed-forward sublayer (norm included) at its positions.
 
+    Without ``positions`` each row is one sequence (right-padded if shorter):
+    row position i has position id i and sees keys 0..i. ``positions``
+    [b, t] (see ``pack``) packs several sequences into a row: ids restart at
+    0 at each segment's start, the position embedding is looked up by id,
+    and query i sees only keys ``i - positions[i] .. i``, so no segment
+    attends into another. Pad slots that end a row form a segment of their
+    own.
+
     The block is token-major: activations are rows [b*t, d], every dense op
     is one flat matrix product and the heads are views. A lone row stays 1-D
     ([d]), which spares a one-token decode step NumPy's per-call cost of the
     extra axis.
 
-    With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped row
-    and appends its ``t`` positions at ``len(cache)``: every layer writes its
-    keys and values there and attends over all cached positions, and the
-    cache length grows by ``t``. It returns logits and hidden for the last
-    position only ([1, 1, ...]). An empty cache makes this a prefill, a
-    one-token row a decode step. When the logits are not finite the cache has
-    already taken the positions.
+    With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped,
+    unpacked row and appends its ``t`` positions at ``len(cache)``: every
+    layer writes its keys and values there and attends over all cached
+    positions, and the cache length grows by ``t``. It returns logits and
+    hidden for the last position only ([1, 1, ...]). An empty cache makes
+    this a prefill, a one-token row a decode step. When the logits are not
+    finite the cache has already taken the positions.
     """
     c = backbone.config
     p = backbone.params
@@ -121,9 +178,10 @@ def forward_batch(
     b, t = tokens.shape
     start = 0
     if cache is not None:
-        if b != 1 or want_tape:
+        if b != 1 or want_tape or positions is not None:
             raise DimensionError(
-                f"a cached pass takes one row and no tape, got {b} rows, tape={want_tape}"
+                f"a cached pass takes one unpacked row and no tape, got {b} rows, "
+                f"tape={want_tape}, positions={positions is not None}"
             )
         start = cache.length
         if start + t > cache.capacity:
@@ -134,10 +192,20 @@ def forward_batch(
         raise SequenceLengthError(f"sequence length {t} exceeds max_seq {c.max_seq}")
     check_token_ids(tokens, c.vocab_size)
     end = start + t
-    future = causal_mask(t, start)
+    if positions is None:
+        future = causal_mask(t, start)
+        x = p["embed"][tokens] + p["pos"][start:end]
+    else:
+        if positions.shape != tokens.shape or not (
+                (positions >= 0) & (positions <= np.arange(t))).all():
+            raise DimensionError(
+                f"positions {positions.shape} must match tokens {tokens.shape} "
+                "and lie in 0..column"
+            )
+        future = segment_mask(positions)
+        x = p["embed"][tokens] + p["pos"][positions]
     srcs = ffn_sources(backbone, expert)
 
-    x = p["embed"][tokens] + p["pos"][start:end]
     x = x.reshape((b * t, c.d_model) if b * t > 1 else (c.d_model,))
     layers_tape = []
     for i in range(c.n_layers):
@@ -181,7 +249,8 @@ def forward_batch(
         raise NumericError("forward pass produced non-finite logits")
     tape = None
     if want_tape:
-        tape = {"tokens": tokens, "layers": layers_tape, "hidden": hidden, "lnfc": lnfc}
+        tape = {"tokens": tokens, "positions": positions, "layers": layers_tape,
+                "hidden": hidden, "lnfc": lnfc}
     return logits.reshape(b, -1, c.vocab_size), hidden.reshape(b, -1, c.d_model), tape
 
 
@@ -282,7 +351,10 @@ def backward_batch(
         grads[("backbone", "embed")] = dembed
     if need("backbone", "pos"):
         dpos = np.zeros_like(p["pos"])
-        dpos[:t] = dx.sum(axis=0)
+        if tape["positions"] is None:
+            dpos[:t] = dx.sum(axis=0)
+        else:
+            dpos[:t] = sum_rows_by(tape["positions"], dx, t)
         grads[("backbone", "pos")] = dpos
     return grads
 

@@ -27,7 +27,7 @@ from .decoding import greedy_decode
 from .errors import GatingError, RoutingError, UnknownExpertError
 from .kernels import NEG_INF
 from .model import BackboneModel, ExpertSubnetwork, copy_params
-from .net import GradKey, backward_batch, forward_batch
+from .net import GradKey, backward_batch, forward_batch, pack, sum_rows_by
 from .rng import Rng
 from .tokenizer import EOS, decode
 
@@ -216,28 +216,32 @@ def score_batch(
 ):
     """Match scores [b, n_experts + 1] for ``b`` subtasks' token sequences.
 
-    The last slot of each row is STOP. The rows are right-padded with token 0
-    into one ``forward_batch`` pass: causal attention keeps the pads out of
-    every real position, and the indicator cross-attention masks pad keys, so
-    each row scores as it would alone. With ``want_tape`` also returns
-    everything ``score_backward`` needs.
+    The last slot of each row is STOP, and rows come back in input order.
+    The subtasks are packed into rows (``net.pack``) for one
+    ``forward_batch`` pass with segment positions, so no subtask attends
+    into another, and each indicator cross-attends only over its own
+    subtask's keys: each subtask scores as it would alone. With
+    ``want_tape`` also returns everything ``score_backward`` needs.
     """
     if not token_lists or not all(token_lists):
         raise RoutingError("empty subtask")
-    lengths = np.asarray([len(t) for t in token_lists])
-    arr = np.zeros((len(token_lists), int(lengths.max())), dtype=np.int64)
-    for row, toks in zip(arr, token_lists):
-        row[: len(toks)] = toks
-    _, h, tape = forward_batch(backbone, arr, expert=planner.expert, want_tape=want_tape)
-    pad = np.arange(arr.shape[1]) >= lengths[:, None]  # [b, t]
+    lengths = [len(t) for t in token_lists]
+    row, start, positions = pack(lengths)
+    arr = np.zeros(positions.shape, dtype=np.int64)
+    for toks, r, c in zip(token_lists, row.tolist(), start.tolist()):
+        arr[r, c : c + len(toks)] = toks
+    _, h, tape = forward_batch(backbone, arr, expert=planner.expert, want_tape=want_tape,
+                               positions=positions)
+    col = np.arange(arr.shape[1])
+    outside = (col < start[:, None]) | (col >= (start + lengths)[:, None])  # [b, t]
     s = planner.scorer
     scale = 1.0 / math.sqrt(h.shape[-1])
     q = planner.indicators @ s["wq"]  # [n+1, d]
-    k = h @ s["wk"]  # [b, t, d]
-    v = h @ s["wv"]
+    k = (h @ s["wk"])[row]  # [b, t, d]: each subtask's packed row
+    v = (h @ s["wv"])[row]
     att = np.matmul(q, k.transpose(0, 2, 1))  # [b, n+1, t]
     att *= scale
-    np.copyto(att, NEG_INF, where=pad[:, None, :])
+    np.copyto(att, NEG_INF, where=outside[:, None, :])
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
@@ -246,8 +250,8 @@ def score_batch(
     scores = out @ s["fw"] + s["fb"][0]
     if not want_tape:
         return scores
-    score_tape = {"h": h, "q": q, "k": k, "v": v, "att": att, "ctx": ctx, "out": out,
-                  "stack_tape": tape, "scale": scale}
+    score_tape = {"h": h, "row": row, "q": q, "k": k, "v": v, "att": att, "ctx": ctx,
+                  "out": out, "stack_tape": tape, "scale": scale}
     return scores, score_tape
 
 
@@ -279,7 +283,9 @@ def score_backward(
     """Backward through the scorer and the planner-expert stack.
 
     ``dscores`` is [b, n_experts + 1] for a ``score_batch`` tape; a 1-D
-    ``dscores`` is one row. The gradients are summed over the rows.
+    ``dscores`` is one row. The gradients are summed over the rows. Each
+    subtask's key and value gradients are zero outside its segment, so
+    adding them into the packed rows gives every position its own.
     """
     s = planner.scorer
     w = planner.indicators
@@ -305,14 +311,16 @@ def score_backward(
     dctx = dout @ s["wo"].T
     datt = dctx @ v.transpose(0, 2, 1)
     dv = att.transpose(0, 2, 1) @ dctx
-    datt = att * (datt - (datt * att).sum(axis=-1, keepdims=True))  # 0 at pad keys
+    datt = att * (datt - (datt * att).sum(axis=-1, keepdims=True))  # 0 outside the subtask
     dq = (datt @ k).sum(axis=0) * scale
     dk = datt.transpose(0, 2, 1) @ q * scale
     add(("planner", "indicators"), dq @ s["wq"].T)
     add(("planner", "scorer.wq"), w.T @ dq)
-    add(("planner", "scorer.wk"), flat(h).T @ flat(dk))
-    add(("planner", "scorer.wv"), flat(h).T @ flat(dv))
-    dh = dk @ s["wk"].T + dv @ s["wv"].T
+    dk_rows = sum_rows_by(score_tape["row"], dk, len(h))
+    dv_rows = sum_rows_by(score_tape["row"], dv, len(h))
+    add(("planner", "scorer.wk"), flat(h).T @ flat(dk_rows))
+    add(("planner", "scorer.wv"), flat(h).T @ flat(dv_rows))
+    dh = dk_rows @ s["wk"].T + dv_rows @ s["wv"].T
     stack = backward_batch(
         backbone,
         score_tape["stack_tape"],

@@ -29,7 +29,7 @@ from .model import (
     copy_params,
     init_backbone,
 )
-from .net import GradKey, backward_batch, check_token_ids, forward_batch
+from .net import GradKey, backward_batch, check_token_ids, forward_batch, pack
 from .rng import Rng
 from .tokenizer import EOS, PAD, decode
 
@@ -130,10 +130,12 @@ def nll_loss(
     """Mean masked negative log-likelihood and its gradient w.r.t. logits.
 
     ``logits`` may be [t,V] or [b,t,V]; targets/mask match its leading shape.
-    The returned gradient is softmax(logits) minus the one-hot targets, scaled
-    by mask / mask.sum(). The logits buffer is not modified. A target outside
-    ``[0, V)`` raises ``TokenIdError`` where the mask is on; where it is off
-    (``batchify`` pads there with ``PAD``) the target is ignored.
+    Positions are independent, so a row may hold one sequence or several
+    packed ones. The returned gradient is softmax(logits) minus the one-hot
+    targets, scaled by mask / mask.sum(). The logits buffer is not modified.
+    A target outside ``[0, V)`` raises ``TokenIdError`` where the mask is on;
+    where it is off (``batchify`` puts ``PAD`` there, at pad slots and at
+    each segment's last token) the target is ignored.
     """
     if logits.ndim == 2:
         logits, targets, mask = logits[None], np.asarray(targets)[None], np.asarray(mask)[None]
@@ -161,19 +163,27 @@ def nll_loss(
     return loss, dlogits
 
 
-def batchify(examples: list[dom.TrainExample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad to batch max length; returns (tokens, next-token targets, mask)."""
-    width = max(len(e.ids) for e in examples)
-    b = len(examples)
-    tokens = np.full((b, width), PAD, dtype=np.int64)
-    targets = np.full((b, width), PAD, dtype=np.int64)
-    mask = np.zeros((b, width), dtype=np.float32)
-    for i, e in enumerate(examples):
+def batchify(
+    examples: list[dom.TrainExample],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pack the examples into rows as wide as the longest (``net.pack``);
+    returns (tokens, next-token targets, mask, positions).
+
+    Each example is one segment of its row, with its own position ids, so
+    ``forward_batch`` with ``positions`` keeps every example's attention to
+    itself. A segment's last target and every pad slot hold ``PAD`` with the
+    mask off, so the loss and its gradient are those of the padded batch.
+    """
+    row, start, positions = pack([len(e.ids) for e in examples])
+    tokens = np.full(positions.shape, PAD, dtype=np.int64)
+    targets = np.full(positions.shape, PAD, dtype=np.int64)
+    mask = np.zeros(positions.shape, dtype=np.float32)
+    for e, r, s in zip(examples, row.tolist(), start.tolist()):
         n = len(e.ids)
-        tokens[i, :n] = e.ids
-        targets[i, : n - 1] = e.ids[1:]
-        mask[i, : len(e.mask)] = e.mask
-    return tokens, targets, mask
+        tokens[r, s : s + n] = e.ids
+        targets[r, s : s + n - 1] = e.ids[1:]
+        mask[r, s : s + len(e.mask)] = e.mask
+    return tokens, targets, mask, positions
 
 
 def _token_accuracy(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
@@ -189,9 +199,12 @@ def loss_and_grads(
     targets: np.ndarray,
     mask: np.ndarray,
     trainable: set[GradKey],
+    positions: np.ndarray | None = None,
 ) -> tuple[float, float, dict[GradKey, np.ndarray]]:
-    """Forward + masked NLL + backward restricted to ``trainable``."""
-    logits, _, tape = forward_batch(backbone, tokens, expert=expert, want_tape=True)
+    """Forward + masked NLL + backward restricted to ``trainable``;
+    ``positions`` marks packed rows as ``forward_batch`` takes it."""
+    logits, _, tape = forward_batch(backbone, tokens, expert=expert, want_tape=True,
+                                    positions=positions)
     loss, dlogits = nll_loss(logits, targets, mask)
     grads = backward_batch(backbone, tape, trainable, expert=expert, dlogits=dlogits)
     acc = _token_accuracy(logits, targets, mask)
@@ -217,9 +230,10 @@ def _run_training(
     curve: list[LossRecord] = []
     snapshot = {k: v.copy() for k, v in trainable_params.items()}
     for step in range(cfg.steps):
-        tokens, targets, mask = batchify(sample_batch(step))
+        tokens, targets, mask, positions = batchify(sample_batch(step))
         try:
-            loss, acc, grads = loss_and_grads(backbone, expert, tokens, targets, mask, trainable)
+            loss, acc, grads = loss_and_grads(backbone, expert, tokens, targets, mask, trainable,
+                                              positions)
         except NumericError as exc:
             raise DivergenceError(f"{exc} at step {step}", last_good=snapshot) from exc
         if not math.isfinite(loss):

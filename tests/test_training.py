@@ -18,7 +18,7 @@ from ccoe.errors import (
     TokenIdError,
 )
 from ccoe.model import ModelConfig, deep_copy_backbone, init_backbone, init_expert
-from ccoe.net import backward_batch, forward_batch
+from ccoe.net import backward_batch, forward_batch, pack
 from ccoe.rng import Rng
 from ccoe.routing import STOP, init_planner, score_backward, score_batch, score_tokens
 from ccoe.tokenizer import PAD, VOCAB_SIZE
@@ -485,11 +485,128 @@ def test_pretrain_smoke_loss_halves():
 
 def test_batchify_alignment():
     ex = dom.sample_example(dom.DOMAINS["copy"], Rng(1), tagged=True, form="plain")
-    tokens, targets, mask = batchify([ex])
+    tokens, targets, mask, positions = batchify([ex])
     n = len(ex.ids)
     assert tokens.shape == (1, n)
+    assert list(positions[0]) == list(range(n))
     assert list(targets[0, : n - 1]) == ex.ids[1:]
     # masked positions predict answer tokens and the terminator
     on = np.nonzero(mask[0])[0]
     eq = ex.ids.index(ord("="))
     assert on[0] == eq and on[-1] == n - 2
+
+
+# --- packed batches ---------------------------------------------------------------
+
+# six layers with the byte vocabulary, so experts can sit low or high
+PACK_CFG = ModelConfig(n_layers=6, d_model=8, n_heads=2, d_ff=12,
+                       vocab_size=VOCAB_SIZE, max_seq=32)
+
+
+def mixed_examples(seed: int, n: int) -> list[dom.TrainExample]:
+    rng = Rng(seed)
+    return [dom.sample_example(dom.DOMAINS[dom.DOMAIN_NAMES[i % len(dom.DOMAIN_NAMES)]], rng,
+                               tagged=bool(i % 2)) for i in range(n)]
+
+
+def padded_batch(examples):
+    """One example per row, right-padded with PAD: the layout before packing."""
+    width = max(len(e.ids) for e in examples)
+    tokens = np.full((len(examples), width), PAD, dtype=np.int64)
+    targets = np.full((len(examples), width), PAD, dtype=np.int64)
+    mask = np.zeros((len(examples), width), dtype=np.float64)
+    for i, e in enumerate(examples):
+        tokens[i, : len(e.ids)] = e.ids
+        targets[i, : len(e.ids) - 1] = e.ids[1:]
+        mask[i, : len(e.mask)] = e.mask
+    return tokens, targets, mask
+
+
+@pytest.mark.parametrize("positions", [None, (0, 1), (4, 5)])
+def test_packed_batch_matches_padded_loss_and_gradients(positions):
+    """Pretraining (positions None: every backbone tensor trainable) and
+    experts low and high in the stack, where the backward stops early."""
+    rng = Rng(41)
+    model = as_f64(init_backbone(PACK_CFG, rng.child("bb")))
+    if positions is None:
+        expert = None
+        trainable = backbone_keys(model)
+    else:
+        model.freeze()
+        expert = as_f64(init_expert(PACK_CFG, 0, "d", positions, rng.child("ex"), inner_width=10))
+        trainable = {("expert", k) for k in expert.params}
+    examples = mixed_examples(45, 13)
+    tokens, targets, mask, pos = batchify(examples)
+    assert len(tokens) < len(examples)  # the batch really packs
+    loss, acc, grads = loss_and_grads(model, expert, tokens, targets, mask, trainable, pos)
+    want_loss, want_acc, want = loss_and_grads(model, expert, *padded_batch(examples), trainable)
+    assert abs(loss - want_loss) < 1e-12
+    assert acc == want_acc
+    assert set(grads) == set(want) == trainable
+    for key, g in grads.items():
+        assert np.allclose(g, want[key], rtol=0, atol=1e-12), key
+
+
+def test_packed_examples_do_not_see_each_other():
+    rng = Rng(43)
+    model = init_backbone(PACK_CFG, rng.child("bb")).freeze()
+    expert = init_expert(PACK_CFG, 0, "d", (2,), rng.child("ex"), inner_width=10)
+    examples = mixed_examples(46, 13)
+    row, start, _ = pack([len(e.ids) for e in examples])
+    tokens, _, _, positions = batchify(examples)
+    logits, _, _ = forward_batch(model, tokens, expert=expert, positions=positions)
+    # change an example that shares its row with another
+    i = next(i for i in range(len(examples)) if (row == row[i]).sum() > 1)
+    n = len(examples[i].ids)
+    edited = tokens.copy()
+    edited[row[i], start[i] : start[i] + n] = (edited[row[i], start[i] : start[i] + n] + 7) % 250
+    after, _, _ = forward_batch(model, edited, expert=expert, positions=positions)
+    own = np.zeros(tokens.shape, dtype=bool)
+    own[row[i], start[i] : start[i] + n] = True
+    assert not np.array_equal(after[own], logits[own])
+    assert np.array_equal(after[~own], logits[~own])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batchify_places_every_example_once_in_its_own_segment(seed):
+    examples = mixed_examples(50 + seed, 24)
+    tokens, targets, mask, positions = batchify(examples)
+    width = max(len(e.ids) for e in examples)
+    assert tokens.shape[1] == width and len(tokens) <= len(examples)
+    assert mask.sum() == sum(sum(e.mask) for e in examples)
+    placed = []
+    for r in range(len(tokens)):
+        starts = list(np.flatnonzero(positions[r] == 0)) + [width]
+        for a, b in zip(starts, starts[1:]):
+            assert list(positions[r, a:b]) == list(range(b - a))
+            if tokens[r, a] == PAD:  # the pad slots that end a row
+                assert b == width and (tokens[r, a:] == PAD).all() and not mask[r, a:].any()
+                continue
+            placed.append((tuple(tokens[r, a:b]), tuple(targets[r, a:b]), tuple(mask[r, a:b])))
+    want = [(tuple(e.ids), tuple(e.ids[1:]) + (PAD,), tuple(map(float, e.mask))) for e in examples]
+    assert sorted(placed) == sorted(want)
+
+
+def test_packed_score_batch_matches_per_row_scores_and_summed_gradients():
+    rng = Rng(45)
+    model = as_f64(init_backbone(TINY, rng.child("bb")))
+    model.freeze()
+    planner = f64_planner(TINY, [0, 2, 5], (0, 2), rng.child("pl"))
+    data = Rng(46)
+    lengths = (5, 20, 9, 6, 11, 3, 14, 8)
+    rows = [[int(t) for t in data.integers(0, TINY.vocab_size, n)] for n in lengths]
+    assert len(pack(list(lengths))[2]) < len(rows)  # the batch really packs
+    dscores = data.normal((len(rows), 4), 1.0).astype(np.float64)
+    trainable = set(planner.trainable_parameters())
+
+    scores, tape = score_batch(planner, model, rows, want_tape=True)
+    grads = score_backward(planner, model, tape, dscores, trainable)
+    want_grads: dict = {}
+    for i, toks in enumerate(rows):
+        one, one_tape = score_tokens(planner, model, toks, want_tape=True)
+        assert np.allclose(scores[i], one, rtol=0, atol=1e-12)
+        for key, g in score_backward(planner, model, one_tape, dscores[i], trainable).items():
+            want_grads[key] = want_grads.get(key, 0) + g
+    assert set(grads) == set(want_grads) == trainable
+    for key, g in grads.items():
+        assert np.allclose(g, want_grads[key], rtol=0, atol=1e-12), key
