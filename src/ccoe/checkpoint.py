@@ -1,13 +1,19 @@
-"""Binary checkpoint format with integrity digest.
+"""Binary checkpoint format with integrity digests.
 
-Layout: magic ``CCOE`` | u32 format version | u64 header length | header JSON
-(UTF-8, canonical: sorted keys, no whitespace) | tensor records. Each record is
-u32 name length, name bytes, u32 rank, u32 dims, u64 payload bytes, raw
-little-endian float32 data; records are ordered by tensor name. The header
-carries a SHA-256 over the full records section plus the count of raw data
-bytes, so loads verify integrity before constructing anything and ledger code
-can equate accounted bytes with serialized payload bytes exactly. Canonical
-ordering makes save -> load -> save byte-identical.
+Layout (format version 2): magic ``CCOE`` | u32 format version | u64 header
+length | 32-byte SHA-256 over the magic, version, length and header bytes |
+header JSON (UTF-8, canonical: sorted keys, no whitespace) | tensor records.
+Each record is u32 name length, name bytes, u32 rank, u32 dims, u64 payload
+bytes, raw little-endian float32 data; records are ordered by tensor name.
+The header carries a SHA-256 over the full records section plus the count of
+raw data bytes, so the header checksum and the records digest together cover
+every byte of the file: a load verifies both before constructing anything,
+and ledger code can equate accounted bytes with serialized payload bytes
+exactly. Canonical ordering makes save -> load -> save byte-identical.
+
+Every way a file can be short, damaged or malformed raises
+``CorruptionError``; a file of another format version raises
+``VersionError``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .model import (
 )
 
 MAGIC = b"CCOE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PREFIX = 16  # magic, version and header length
+CHECKSUM = 32  # SHA-256 of the prefix and the header
 
 
 def _records_bytes(tensors: dict[str, np.ndarray]) -> tuple[bytes, int]:
@@ -100,7 +108,8 @@ def save_checkpoint(component, path: str | os.PathLike) -> str:
         {"name": n, "shape": list(tensors[n].shape)} for n in sorted(tensors)
     ]
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(hjson)) + hjson + records
+    prefix = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(hjson))
+    blob = prefix + hashlib.sha256(prefix + hjson).digest() + hjson + records
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(blob)
@@ -130,7 +139,7 @@ def _parse_records(records: bytes) -> dict[str, np.ndarray]:
             off += nbytes
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
             tensors[name] = arr
-    except struct.error as exc:
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise CorruptionError(f"malformed tensor record: {exc}") from exc
     return tensors
 
@@ -158,11 +167,9 @@ def _expected_shapes(header: dict[str, Any], tensors: dict[str, np.ndarray]):
 
 def _check_tensors(path, header: dict[str, Any], tensors: dict[str, np.ndarray]) -> None:
     """Raise ``CorruptionError`` unless the header names a known kind and the
-    tensors' names and shapes are exactly those it describes."""
-    try:
-        want = _expected_shapes(header, tensors)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        raise CorruptionError(f"{path}: header does not describe a component: {exc!r}") from exc
+    tensors' names and shapes are exactly those it describes. A header field
+    of the wrong type or value raises the error its parsing raises."""
+    want = _expected_shapes(header, tensors)
     got = {n: tuple(a.shape) for n, a in tensors.items()}
     if got == want:
         return
@@ -175,31 +182,49 @@ def _check_tensors(path, header: dict[str, Any], tensors: dict[str, np.ndarray])
     )
 
 
-def load_checkpoint(path: str | os.PathLike):
-    """Load and verify a checkpoint; returns the reconstructed component."""
-    with open(path, "rb") as f:
-        blob = f.read()
+def _read_header(path, blob: bytes) -> tuple[dict[str, Any], bytes]:
+    """Check the prefix and the header checksum; returns (header, records)."""
     if blob[:4] != MAGIC:
         raise CorruptionError(f"{path}: bad magic")
+    if len(blob) < 8:
+        raise CorruptionError(f"{path}: truncated before the format version")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != FORMAT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {FORMAT_VERSION}")
+    body = PREFIX + CHECKSUM
+    if len(blob) < body:
+        raise CorruptionError(f"{path}: truncated before the header")
     (hlen,) = struct.unpack_from("<Q", blob, 8)
-    header_raw = blob[16 : 16 + hlen]
+    header_raw = blob[body : body + hlen]
     if len(header_raw) != hlen:
         raise CorruptionError(f"{path}: truncated header")
+    if hashlib.sha256(blob[:PREFIX] + header_raw).digest() != blob[PREFIX:body]:
+        raise CorruptionError(f"{path}: header checksum mismatch")
     try:
         header = json.loads(header_raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptionError(f"{path}: unreadable header: {exc}") from exc
-    records = blob[16 + hlen :]
-    actual = hashlib.sha256(records).hexdigest()
-    if actual != header.get("digest"):
-        raise CorruptionError(f"{path}: payload digest mismatch")
-    tensors = _parse_records(records)
-    _check_tensors(path, header, tensors)
+    if not isinstance(header, dict):
+        raise CorruptionError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    return header, blob[body + hlen :]
 
-    kind = header.get("kind")
+
+def _expert(header: dict[str, Any], params: dict[str, np.ndarray]) -> ExpertSubnetwork:
+    expert_id, domain = header["expert_id"], header["domain"]
+    if type(expert_id) is not int or not isinstance(domain, str):
+        raise TypeError(f"expert_id {expert_id!r} must be an integer and domain {domain!r} a string")
+    return ExpertSubnetwork(
+        expert_id=expert_id,
+        domain=domain,
+        positions=tuple(header["positions"]),
+        inner_width=int(header["inner_width"]),
+        params=params,
+    )
+
+
+def _build(header: dict[str, Any], tensors: dict[str, np.ndarray]):
+    """The component a checked header and its tensors describe."""
+    kind = header["kind"]
     if kind == "backbone":
         model = BackboneModel(
             config=ModelConfig.from_dict(header["config"]),
@@ -210,13 +235,7 @@ def load_checkpoint(path: str | os.PathLike):
             model.freeze()
         return model
     if kind == "expert":
-        return ExpertSubnetwork(
-            expert_id=int(header["expert_id"]),
-            domain=header["domain"],
-            positions=tuple(header["positions"]),
-            inner_width=int(header["inner_width"]),
-            params=tensors,
-        )
+        return _expert(header, tensors)
     # a planner: _check_tensors admits no other kind
     from .routing import PlannerExpert
 
@@ -226,17 +245,33 @@ def load_checkpoint(path: str | os.PathLike):
     scorer = {
         k.removeprefix("scorer."): v for k, v in tensors.items() if k.startswith("scorer.")
     }
-    expert = ExpertSubnetwork(
-        expert_id=int(header["expert_id"]),
-        domain=header["domain"],
-        positions=tuple(header["positions"]),
-        inner_width=int(header["inner_width"]),
-        params=expert_params,
-    )
     return PlannerExpert(
-        expert=expert,
+        expert=_expert(header, expert_params),
         indicator_ids=list(header["indicator_ids"]),
         indicators=tensors["indicators"],
         scorer=scorer,
         uncalibrated=set(header.get("uncalibrated", [])),
     )
+
+
+def load_checkpoint(path: str | os.PathLike):
+    """Load and verify a checkpoint; returns the reconstructed component.
+
+    Raises ``CorruptionError`` for a short, damaged or malformed file and
+    ``VersionError`` for a file of another format version.
+    """
+    with open(path, "rb") as f:
+        return _loads(f.read(), path)
+
+
+def _loads(blob: bytes, path: str | os.PathLike = "<bytes>"):
+    """``load_checkpoint`` of a file's bytes; ``path`` names it in errors."""
+    header, records = _read_header(path, blob)
+    if hashlib.sha256(records).hexdigest() != header.get("digest"):
+        raise CorruptionError(f"{path}: payload digest mismatch")
+    tensors = _parse_records(records)
+    try:
+        _check_tensors(path, header, tensors)
+        return _build(header, tensors)
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        raise CorruptionError(f"{path}: header does not describe a component: {exc!r}") from exc

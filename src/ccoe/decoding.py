@@ -1,7 +1,10 @@
 """Incremental greedy decoding with a per-sequence KV cache.
 
-The cache holds key/value rows for one request's positions. Prefill fills
-the prompt's positions in one ``forward_batch`` pass; each decode step is a
+The cache holds the keys and values of one request's positions, keys
+stored keys-major so that attention multiplies the queries by them without a
+transposed view. Prefill fills the prompt's positions in one
+``forward_batch`` pass, whose last layer, once its keys and values are
+cached, carries only the last row on to the logits; each decode step is a
 one-token ``forward_batch`` pass that appends exactly one position per layer,
 so cache length always equals the number of tokens processed. Training,
 planner scoring, prefill and decode all run the same block. The no-cache
@@ -22,9 +25,13 @@ from .tokenizer import EOS
 class KvCache:
     """Per-layer cached keys/values for one in-flight decode.
 
-    ``capacity`` positions (default: the model's ``max_seq``) are allocated up
-    front; ``k[i]`` and ``v[i]`` are token-major [capacity, d_model], so a
-    decode step writes one row per layer.
+    ``capacity`` positions (default: the model's ``max_seq``) are allocated
+    up front. Keys are keys-major: ``k[i]`` is [n_heads, head_dim, capacity],
+    so the score product multiplies the queries by ``k[i][..., :n]`` as a
+    plain row-major matrix per head. ``k_rows[i]`` is a token-major
+    [capacity, d_model] view of the same memory, through which a pass writes
+    its key rows. Values are token-major: ``v[i]`` is [capacity, d_model].
+    A decode step writes one row of each per layer.
     """
 
     def __init__(self, model: BackboneModel, capacity: int | None = None):
@@ -33,7 +40,9 @@ class KvCache:
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
         dt = model.params["embed"].dtype
-        self.k = [np.empty((capacity, c.d_model), dtype=dt) for _ in range(c.n_layers)]
+        keys = [np.empty((c.d_model, capacity), dtype=dt) for _ in range(c.n_layers)]
+        self.k = [a.reshape(c.n_heads, -1, capacity) for a in keys]
+        self.k_rows = [a.T for a in keys]
         self.v = [np.empty((capacity, c.d_model), dtype=dt) for _ in range(c.n_layers)]
         self.capacity = capacity
         self.length = 0

@@ -99,25 +99,42 @@ def _heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
-              future: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              future: np.ndarray | None = None, keep_weights: bool = True,
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """Scaled dot-product attention of ``b`` sequences of token-major rows.
 
-    ``q`` is [b*t, d] (one query row may be [d]); ``k`` and ``v`` are
-    [b*s, d]. Heads are contiguous slices of the feature axis, taken as
-    views. ``future`` masks the keys a query may not see (see
-    ``causal_mask`` and ``segment_mask``). Returns (context rows shaped like
-    ``q``, weights [b, h, t, s]).
+    ``q`` is [b*t, d] (one query row may be [d]) and ``v`` is [b*s, d].
+    ``k`` comes in either of two layouts:
+
+    - token-major rows [b*s, d] (one key row may be [d]), as a training or
+      other uncached pass makes them; the score product takes a transposed
+      view of them;
+    - keys-major [n_heads, head_dim, s] for one sequence (``b == 1``), the
+      ``decoding.KvCache`` layout, which the score product takes as a plain
+      row-major matrix per head.
+
+    Heads are contiguous slices of the feature axis, taken as views.
+    ``future`` masks the keys a query may not see (see ``causal_mask`` and
+    ``segment_mask``). The 1/sqrt(head_dim) scale multiplies the queries, not
+    the scores. Returns (context rows shaped like ``q``, weights
+    [b, h, t, s]). Without ``keep_weights`` the [b, h, t, s] weights are
+    left unnormalised, the [b, h, t, hd] context is divided by their row
+    sums instead, and the weights come back as None.
     """
     hd = q.shape[-1] // n_heads
-    kt = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)
-    probs = _heads(q, b, n_heads) @ kt
-    probs *= 1.0 / math.sqrt(hd)
+    if k.ndim < 3:
+        k = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)
+    probs = (_heads(q, b, n_heads) * (1.0 / math.sqrt(hd))) @ k
     if future is not None:
         np.copyto(probs, NEG_INF, where=future)
     probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    if keep_weights:
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     ctx = probs @ _heads(v, b, n_heads)
+    if not keep_weights:
+        ctx /= np.add.reduce(probs, axis=-1, keepdims=True)
+        probs = None
     return ctx.transpose(0, 2, 1, 3).reshape(q.shape), probs
 
 

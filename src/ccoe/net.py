@@ -167,9 +167,15 @@ def forward_batch(
     unpacked row and appends its ``t`` positions at ``len(cache)``: every
     layer writes its keys and values there and attends over all cached
     positions, and the cache length grows by ``t``. It returns logits and
-    hidden for the last position only ([1, 1, ...]). An empty cache makes
-    this a prefill, a one-token row a decode step. When the logits are not
-    finite the cache has already taken the positions.
+    hidden for the last position only ([1, 1, ...]), so the last layer,
+    once it has cached every position's keys and values, runs its queries,
+    attention, output projection and feed-forward for the last row alone.
+    An empty cache makes this a prefill, a one-token row a decode step. When
+    the logits are not finite the cache has already taken the positions.
+
+    A pass without a tape keeps no attention weights: it divides each
+    context row by its weights' sum instead of normalising the weights (see
+    ``kernels.attention``).
     """
     c = backbone.config
     p = backbone.params
@@ -208,20 +214,23 @@ def forward_batch(
 
     x = x.reshape((b * t, c.d_model) if b * t > 1 else (c.d_model,))
     layers_tape = []
+    last = c.n_layers - 1
     for i in range(c.n_layers):
         pre = f"layers.{i}."
         h1, ln1c = layer_norm_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = h1 @ p[pre + "attn.wq"]
         k = h1 @ p[pre + "attn.wk"]
         v = h1 @ p[pre + "attn.wv"]
         if cache is not None:
-            cache.k[i][start:end] = k
+            cache.k_rows[i][start:end] = k
             cache.v[i][start:end] = v
-            k = cache.k[i][:end]
+            k = cache.k[i][..., :end]
             v = cache.v[i][:end]
-        merged, probs = attention(q, k, v, b, c.n_heads, future)
-        if not want_tape:
-            del probs  # free the [b, h, t, t] weights before the next layer's exist
+            if i == last and t > 1:
+                # every position's keys and values are cached: only the
+                # last row, which sees them all, goes on to the logits
+                x, h1, future = x[-1], h1[-1], None
+        q = h1 @ p[pre + "attn.wq"]
+        merged, probs = attention(q, k, v, b, c.n_heads, future, keep_weights=want_tape)
         x1 = x + merged @ p[pre + "attn.wo"]
 
         _, fp, fpre, lnpre = srcs[i]
@@ -241,8 +250,6 @@ def forward_batch(
 
     if cache is not None:
         cache.length = end
-        if x.ndim > 1:
-            x = x[-1]
     hidden, lnfc = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
     logits = hidden @ p["head"]
     if not np.isfinite(logits).all():

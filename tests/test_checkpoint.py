@@ -6,9 +6,11 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccoe.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from ccoe.errors import CorruptionError
+from ccoe.checkpoint import FORMAT_VERSION, MAGIC, _loads, load_checkpoint, save_checkpoint
+from ccoe.errors import CorruptionError, VersionError
 from ccoe.model import ModelConfig, init_backbone, init_expert
 from ccoe.rng import Rng
 from ccoe.routing import init_planner
@@ -25,18 +27,31 @@ def components():
     }
 
 
+BODY = 16 + 32  # magic, version, header length, header checksum
+
+
 def split(path):
     blob = path.read_bytes()
     (hlen,) = struct.unpack_from("<Q", blob, 8)
-    return json.loads(blob[16 : 16 + hlen]), blob[16 + hlen :]
+    return json.loads(blob[BODY : BODY + hlen]), blob[BODY + hlen :]
+
+
+def frame(hjson, records, version=FORMAT_VERSION):
+    """A file of ``hjson`` header bytes over ``records``; from version 2 on,
+    with the checksum over everything up to the records."""
+    prefix = MAGIC + struct.pack("<IQ", version, len(hjson))
+    if version == 1:
+        return prefix + hjson + records
+    return prefix + hashlib.sha256(prefix + hjson).digest() + hjson + records
 
 
 def rewrite(path, header, records):
-    """Write ``header`` over ``records`` with a digest that matches them, so
-    only the header's description of the tensors can be wrong."""
+    """Write ``header`` over ``records`` with a records digest and a header
+    checksum that match them, so only the header's description of the
+    tensors can be wrong."""
     header = dict(header, digest=hashlib.sha256(records).hexdigest())
     hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(hjson)) + hjson + records)
+    path.write_bytes(frame(hjson, records))
 
 
 @pytest.mark.parametrize("kind", ["backbone", "expert", "planner"])
@@ -81,3 +96,72 @@ def test_header_that_does_not_match_the_tensors_raises_corruption(tmp_path, kind
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
 
+
+@pytest.mark.parametrize("edit", [
+    {"expert_id": None}, {"domain": None}, {"expert_id": "3"}, {"expert_id": 3.5},
+    {"domain": 7},
+])
+@pytest.mark.parametrize("kind", ["expert", "planner"])
+def test_missing_or_mistyped_identity_raises_corruption(tmp_path, kind, edit):
+    path = tmp_path / "c.ccoe"
+    save_checkpoint(components()[kind], path)
+    header, records = split(path)
+    header.update(edit)
+    header = {k: v for k, v in header.items() if v is not None}  # None: drop the field
+    rewrite(path, header, records)
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("hjson", [b"[1,2]", b"3", b'"expert"', b"null", b"{", b"\xff"])
+def test_header_that_is_not_a_json_object_raises_corruption(tmp_path, hjson):
+    path = tmp_path / "c.ccoe"
+    save_checkpoint(components()["expert"], path)
+    path.write_bytes(frame(hjson, split(path)[1]))
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
+
+
+def test_version_1_file_raises_version_error(tmp_path):
+    # version 1 had no header checksum: the header followed the length
+    path = tmp_path / "v1.ccoe"
+    save_checkpoint(components()["expert"], path)
+    header, records = split(path)
+    header["format"] = 1
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(frame(hjson, records, version=1))
+    with pytest.raises(VersionError):
+        load_checkpoint(path)
+
+
+def test_every_cut_of_a_saved_expert_raises_corruption(tmp_path):
+    path = tmp_path / "e.ccoe"
+    save_checkpoint(components()["expert"], path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        with pytest.raises(CorruptionError):
+            _loads(blob[:n])
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["backbone", "expert", "planner"]),
+       cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_cut_checkpoint_raises_corruption(tmp_path_factory, kind, cut):
+    path = tmp_path_factory.mktemp("cut") / "c.ccoe"
+    save_checkpoint(components()[kind], path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: int(cut * len(blob))])
+    with pytest.raises(CorruptionError):
+        load_checkpoint(path)
+
+
+def test_every_single_bit_flip_of_a_saved_expert_is_detected(tmp_path):
+    path = tmp_path / "e.ccoe"
+    save_checkpoint(init_expert(SMALL, 4, "flip", (2,), Rng(42), inner_width=2), path)
+    blob = bytearray(path.read_bytes())
+    assert _loads(bytes(blob)).domain == "flip"
+    for bit in range(8 * len(blob)):
+        blob[bit // 8] ^= 1 << bit % 8
+        with pytest.raises((CorruptionError, VersionError)):
+            _loads(bytes(blob))
+        blob[bit // 8] ^= 1 << bit % 8

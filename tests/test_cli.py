@@ -17,3 +17,14 @@ def test_route_on_a_manifest_without_a_planner_exits_with_data_error(tmp_path, c
     assert main(argv) == 2  # DatasetError
     assert "needs a planner" in capsys.readouterr().err
     assert main([*argv, "--planner"]) == 1  # the flag is gone: a usage error
+
+
+def test_route_on_a_cut_backbone_checkpoint_exits_with_corruption_code(tmp_path, capsys):
+    path = tmp_path / "backbone.ccoe"
+    save_checkpoint(init_backbone(TINY, Rng(5)).freeze(), path)
+    path.write_bytes(path.read_bytes()[:10])
+    manifest = Manifest(path=tmp_path / "manifest.jsonl", model=TINY.to_dict(),
+                        backbone="backbone.ccoe")
+    manifest.save()
+    assert main(["route", "--manifest", str(manifest.path), "--prompt", "12+3"]) == 4
+    assert "truncated" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from ccoe.kernels import (
     gelu_grad_from_tanh,
     layer_norm,
     layer_norm_fwd,
+    segment_mask,
 )
 from ccoe.net import _mm_back
 from ccoe.rng import Rng
@@ -293,6 +294,51 @@ def test_attention_causality_perturbation():
         out = causal_attention(q2, k2, v2, 2)
         assert np.array_equal(out[:j], base[:j])
         assert not np.array_equal(out[j:], base[j:])
+
+
+def _float64_rows(rng, rows, d):
+    return tuple(rng.normal((rows, d), 2.0).astype(np.float64) for _ in range(3))
+
+
+@pytest.mark.parametrize("case", ["causal", "segment", "none", "lone_row"])
+def test_attention_deferred_normalisation_matches_kept_weights(case):
+    # a pass without a tape divides the context by the weights' row sums
+    # instead of normalising the weights; both forms agree
+    rng = Rng(31)
+    b, t, heads, d = 2, 9, 2, 8
+    q, k, v = _float64_rows(rng, b * t, d)
+    future = None
+    if case == "causal":
+        b, q, k, v = 1, q[:t], k[:t], v[:t]
+        future = causal_mask(t)
+    elif case == "segment":
+        future = segment_mask(np.array([[0, 1, 2, 0, 1, 2, 3, 0, 1], [0, 1, 2, 3, 4, 0, 1, 0, 0]]))
+    elif case == "lone_row":
+        b, q, k, v = 1, q[0], k[:t], v[:t]  # one query row [d] over t keys, as in a decode step
+    kept, weights = attention(q, k, v, b, heads, future)
+    deferred, dropped = attention(q, k, v, b, heads, future, keep_weights=False)
+    assert dropped is None
+    assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-12
+    assert deferred.shape == kept.shape == q.shape
+    assert np.abs(deferred - kept).max() < 1e-12
+
+
+@pytest.mark.parametrize("t,s", [(1, 1), (1, 11), (4, 11), (11, 11)])
+def test_attention_keys_major_matches_token_major_keys(t, s):
+    # the KV cache hands attention its keys as [heads, head_dim, s]; the t
+    # queries sit at the last t of the s positions
+    rng = Rng(32)
+    heads, d = 2, 8
+    q, k, v = _float64_rows(rng, s, d)
+    oracle = attention_oracle(q, k, v, heads)[s - t:]
+    q = q[s - t:] if t > 1 else q[-1]  # a lone query row is [d]
+    keys_major = np.ascontiguousarray(k.T).reshape(heads, -1, s)
+    future = causal_mask(t, s - t)
+    for keep in (True, False):
+        want = attention(q, k, v, 1, heads, future, keep_weights=keep)[0]
+        got = attention(q, keys_major, v, 1, heads, future, keep_weights=keep)[0]
+        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(got.reshape(t, d) - oracle).max() < 1e-10
 
 
 def test_kernels_bit_identical_across_calls():

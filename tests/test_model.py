@@ -23,6 +23,7 @@ from ccoe.model import (
     ModelConfig,
     backbone_param_count,
     deep_copy_backbone,
+    deep_copy_expert,
     expert_param_count,
     init_backbone,
     init_expert,
@@ -381,3 +382,58 @@ def test_prefill_matches_per_token_decode(tiny_model, length, positions, seed):
     cached = greedy_decode(model, expert, prompt, MAX_NEW, stop_token=None)
     assert cached == greedy_decode(model, expert, prompt, MAX_NEW, use_cache=False,
                                    stop_token=None)
+
+
+# the fixtures' 8-layer, d=64 shape, with a context that holds 150-250-token
+# prompts like the long shared few-shot prefixes of long-prompt serving
+MID = ModelConfig(n_layers=8, d_model=64, n_heads=4, d_ff=128, vocab_size=260, max_seq=256)
+
+
+@pytest.fixture(scope="module")
+def mid_model():
+    return init_backbone(MID, Rng(44))
+
+
+@pytest.fixture(scope="module")
+def mid_expert():
+    return init_expert(MID, 0, "gl", (0, 4), Rng(45))
+
+
+def _long_prompt(length, seed):
+    return [257] + [int(t) for t in Rng(seed).integers(0, 256, size=length - 1)]
+
+
+@settings(deadline=None, max_examples=4)
+@given(length=st.integers(150, 250), seed=st.integers(0, 2**16))
+def test_long_prefill_matches_per_token_decode_and_the_uncached_last_row(
+        mid_model, mid_expert, length, seed):
+    model = _float64(deep_copy_backbone(mid_model))
+    expert = _float64(deep_copy_expert(mid_expert))
+    prompt = _long_prompt(length, seed)
+    tokens = np.asarray([prompt], dtype=np.int64)
+
+    prefilled = KvCache(model, length)
+    logits, hidden, _ = forward_batch(model, tokens, expert=expert, cache=prefilled)
+    stepped = KvCache(model, length)
+    for tok in prompt:
+        step_logits = decode_step(model, expert, tok, stepped)
+    uncached, uncached_hidden, _ = forward_batch(model, tokens, expert=expert)
+    assert len(prefilled) == len(stepped) == length
+    for i in range(MID.n_layers):
+        assert np.abs(prefilled.k[i] - stepped.k[i]).max() < 1e-12
+        assert np.abs(prefilled.v[i] - stepped.v[i]).max() < 1e-12
+    assert logits.shape == (1, 1, MID.vocab_size) and hidden.shape == (1, 1, MID.d_model)
+    assert np.abs(logits[0, 0] - step_logits).max() < 1e-12
+    assert np.abs(logits[0, 0] - uncached[0, -1]).max() < 1e-12
+    assert np.abs(hidden[0, 0] - uncached_hidden[0, -1]).max() < 1e-12
+
+
+@settings(deadline=None, max_examples=4)
+@given(length=st.integers(180, 210), seed=st.integers(0, 2**16))
+def test_long_prompt_cached_greedy_equals_uncached_in_float32(
+        mid_model, mid_expert, length, seed):
+    prompt = _long_prompt(length, seed)
+    for expert in (None, mid_expert):
+        cached = greedy_decode(mid_model, expert, prompt, 6, stop_token=None)
+        assert cached == greedy_decode(mid_model, expert, prompt, 6, use_cache=False,
+                                       stop_token=None)
