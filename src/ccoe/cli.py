@@ -71,6 +71,16 @@ def data_dir_default() -> str:
 # --- manifest ----------------------------------------------------------------
 
 
+# the fields each manifest record kind must carry
+RECORD_FIELDS = {
+    "config": (),
+    "backbone": ("path",),
+    "expert": ("id", "path"),
+    "mapping": ("domain", "experts"),
+    "planner": ("path",),
+}
+
+
 @dataclass
 class Manifest:
     path: Path
@@ -90,6 +100,8 @@ class Manifest:
 
     @staticmethod
     def load(path: str | Path) -> "Manifest":
+        """Parse a manifest; a malformed record raises ``DatasetError``
+        naming the file and line."""
         p = Path(path)
         if not p.exists():
             raise DatasetError(f"manifest not found: {p}")
@@ -98,13 +110,24 @@ class Manifest:
             line = line.strip()
             if not line:
                 continue
+            where = f"{p}:{i + 1}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"{p}:{i + 1}: bad manifest record: {exc}") from exc
+                raise DatasetError(f"{where}: bad manifest record: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise DatasetError(f"{where}: manifest record is not a JSON object")
             kind = rec.get("record")
+            if not isinstance(kind, str) or kind not in RECORD_FIELDS:
+                raise DatasetError(f"{where}: unknown record kind {kind!r}")
+            missing = [f for f in RECORD_FIELDS[kind] if f not in rec]
+            if missing:
+                raise DatasetError(f"{where}: {kind} record lacks {', '.join(missing)}")
+            for name in ("seed", "id"):
+                if name in rec and type(rec[name]) is not int:
+                    raise DatasetError(f"{where}: {name} {rec[name]!r} is not an integer")
             if kind == "config":
-                m.seed = int(rec.get("seed", 0))
+                m.seed = rec.get("seed", 0)
                 m.model = rec.get("model", {})
             elif kind == "backbone":
                 m.backbone = rec["path"]
@@ -112,10 +135,8 @@ class Manifest:
                 m.experts.append(rec)
             elif kind == "mapping":
                 m.mapping.append(rec)
-            elif kind == "planner":
-                m.planner = rec["path"]
             else:
-                raise DatasetError(f"{p}:{i + 1}: unknown record kind {kind!r}")
+                m.planner = rec["path"]
         return m
 
     def records(self) -> list[dict]:
@@ -396,9 +417,12 @@ def _load_workload(path: str, repetitions: int) -> Workload:
             continue
         try:
             rec = json.loads(line)
-            items.append((rec["domain"], rec["prompt"]))
-        except (json.JSONDecodeError, KeyError) as exc:
+        except json.JSONDecodeError as exc:
             raise DatasetError(f"{p}:{i + 1}: bad workload record: {exc}") from exc
+        if not isinstance(rec, dict) or "domain" not in rec or "prompt" not in rec:
+            raise DatasetError(f"{p}:{i + 1}: a workload record is an object with "
+                               "domain and prompt")
+        items.append((rec["domain"], rec["prompt"]))
     if not items:
         raise DatasetError(f"workload {p} is empty")
     return Workload(items=tuple(items), repetitions=repetitions)

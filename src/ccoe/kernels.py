@@ -5,7 +5,11 @@ each with the gradient its backward pass needs; ``net.forward_batch`` and
 ``net.backward_batch`` call them for training, planner scoring, prefill and
 decode alike. ``layer_norm`` is the
 forward layer norm with its eps and finiteness checks, which the oracle tests
-hold to a float64 reference. Every kernel is a pure function and
+hold to a float64 reference. Attention over more than one query row lays its
+scores out keys-first, [keys, heads, rows, queries], so that the softmax's
+passes over the short key axis run over whole contiguous slices; the masks
+(``causal_mask``, ``segment_mask``) come in that layout. Every kernel is a
+pure function and
 bit-identical across calls for identical inputs. Scalar constants stay Python
 floats so the same code runs in float64 when tests feed 64-bit parameter
 copies.
@@ -48,18 +52,24 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 
 
 def layer_norm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``layer_norm_fwd``: returns (dx, dgain, dbias)."""
+    """Gradients of ``layer_norm_fwd``: returns (dx, dgain, dbias).
+
+    Every sum is a product with a ones (or 1/n) vector: NumPy reduces the
+    short feature axis of each row, and the row axis of each column, more
+    slowly than a matrix-vector product does.
+    """
     xh, inv, g = cache
     n = xh.shape[-1]
+    rows = dy.reshape(-1, n)
+    ones = np.ones(len(rows), dtype=dy.dtype)
+    dg = ones @ (rows * xh.reshape(-1, n))
+    db = ones @ rows
+    mean = np.full(n, 1.0 / n, dtype=dy.dtype)
     dxh = dy * g
-    dg = (dy * xh).reshape(-1, n).sum(axis=0)
-    db = dy.reshape(-1, n).sum(axis=0)
-    m1 = np.add.reduce(dxh, axis=-1, keepdims=True)
-    m1 /= n
-    m2 = np.add.reduce(dxh * xh, axis=-1, keepdims=True)
-    m2 /= n
-    dxh -= m1
-    dxh -= xh * m2
+    m1 = dxh @ mean
+    m2 = (dxh * xh) @ mean
+    dxh -= m1[..., None]
+    dxh -= xh * m2[..., None]
     dxh *= inv
     return dxh, dg, db
 
@@ -74,28 +84,44 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     return out
 
 
+def _additive(hidden: np.ndarray) -> np.ndarray:
+    """A boolean mask as float32 scores to add: -inf where hidden, 0 elsewhere."""
+    return np.where(hidden, np.float32(NEG_INF), np.float32(0.0))
+
+
 def causal_mask(t: int, start: int = 0) -> np.ndarray | None:
-    """Boolean [t, start + t] mask of the keys each of ``t`` queries at
-    positions ``start..start+t-1`` may not see; None for one query, which
-    sees every key before it."""
+    """Keys-first additive mask for ``t`` queries at positions
+    ``start..start+t-1`` of one sequence: a float32 [start + t, 1, 1, t]
+    array, -inf at [j, 0, 0, i] when query i may not see key j (j > start +
+    i) and 0 elsewhere. None for one query, which sees every key before it.
+    """
     if t == 1:
         return None
-    return np.triu(np.ones((t, start + t), dtype=bool), k=start + 1)
+    hidden = np.tri(start + t, t, k=-(start + 1), dtype=bool)
+    return _additive(hidden)[:, None, None]
 
 
 def segment_mask(positions: np.ndarray) -> np.ndarray:
-    """Boolean [b, 1, t, t] mask of the keys each query may not see in rows
-    of packed segments: ``positions`` [b, t] restart at 0 at each segment's
-    start, and query i sees keys ``i - positions[i] .. i``, the causal
-    prefix of its own segment."""
+    """Keys-first additive mask for rows of packed segments: a float32
+    [t, 1, b, t] array, -inf at [j, 0, r, i] when query i of row r may not
+    see key j and 0 elsewhere. ``positions`` [b, t] restart at 0 at each
+    segment's start, and query i sees keys ``i - positions[i] .. i``, the
+    causal prefix of its own segment."""
     col = np.arange(positions.shape[1])
-    hidden = (col < (col - positions)[..., None]) | (col > col[:, None])
-    return hidden[:, None]
+    key = col[:, None, None]
+    hidden = (key < col - positions) | (key > col)
+    return _additive(hidden)[:, None]
 
 
 def _heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     """Token-major rows [b*t, d] (one row may be [d]) as a [b, h, t, hd] view."""
     return a.reshape(b, -1, n_heads, a.shape[-1] // n_heads).transpose(0, 2, 1, 3)
+
+
+def _key_heads(k: np.ndarray, b: int, n_heads: int) -> np.ndarray:
+    """Keys in either layout ``attention`` takes, as a [b, h, s, hd] view
+    (keys-major keys of one sequence broadcast over the batch axis)."""
+    return _heads(k, b, n_heads) if k.ndim < 3 else k.transpose(0, 2, 1)[None]
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
@@ -107,54 +133,106 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     ``k`` comes in either of two layouts:
 
     - token-major rows [b*s, d] (one key row may be [d]), as a training or
-      other uncached pass makes them; the score product takes a transposed
-      view of them;
+      other uncached pass makes them;
     - keys-major [n_heads, head_dim, s] for one sequence (``b == 1``), the
-      ``decoding.KvCache`` layout, which the score product takes as a plain
-      row-major matrix per head.
+      ``decoding.KvCache`` layout.
 
-    Heads are contiguous slices of the feature axis, taken as views.
-    ``future`` masks the keys a query may not see (see ``causal_mask`` and
-    ``segment_mask``). The 1/sqrt(head_dim) scale multiplies the queries, not
-    the scores. Returns (context rows shaped like ``q``, weights
-    [b, h, t, s]). Without ``keep_weights`` the [b, h, t, s] weights are
-    left unnormalised, the [b, h, t, hd] context is divided by their row
-    sums instead, and the weights come back as None.
+    Heads are contiguous slices of the feature axis, taken as views. The
+    1/sqrt(head_dim) scale multiplies the queries, not the scores.
+
+    With more than one query row the scores are laid out keys-first,
+    [s, h, b, t]: the score product writes them through a [b, h, s, t] view,
+    and the mask, the max, the exp and the sum over keys are elementwise
+    passes over whole [h, b, t] slices instead of reductions along rows
+    only ``s`` long. ``future`` is the additive keys-first mask of
+    ``causal_mask`` or ``segment_mask``, built once per pass. A lone query
+    row [d] (a decode step, or the last layer of a cached pass) sees every
+    key, and its [1, h, 1, s] scores are reduced along the keys.
+
+    Returns (context rows shaped like ``q``, weights as a [b, h, t, s]
+    view). Without ``keep_weights`` the weights are left unnormalised, the
+    [b, h, t, hd] context is divided by their sums instead, and the weights
+    come back as None.
     """
     hd = q.shape[-1] // n_heads
-    if k.ndim < 3:
-        k = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)
-    probs = (_heads(q, b, n_heads) * (1.0 / math.sqrt(hd))) @ k
+    scale = 1.0 / math.sqrt(hd)
+    if q.ndim == 1:
+        if k.ndim < 3:
+            k = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)
+        probs = (_heads(q, b, n_heads) * scale) @ k
+        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        norm = np.add.reduce(probs, axis=-1, keepdims=True)
+        if keep_weights:
+            probs /= norm
+        ctx = probs @ _heads(v, b, n_heads)
+        if not keep_weights:
+            ctx /= norm
+            probs = None
+        return ctx.transpose(0, 2, 1, 3).reshape(q.shape), probs
+
+    # the scaled queries as a contiguous [b, h, hd, t]: multiplying the keys
+    # by a transposed view of them takes about twice as long
+    qt = _heads(q, b, n_heads).transpose(0, 1, 3, 2)
+    qt = np.multiply(qt, scale, out=np.empty(qt.shape, dtype=q.dtype))
+    kh = _key_heads(k, b, n_heads)
+    scores = np.empty((kh.shape[-2], n_heads, b, qt.shape[-1]), dtype=q.dtype)
+    np.matmul(kh, qt, out=scores.transpose(2, 1, 0, 3))
     if future is not None:
-        np.copyto(probs, NEG_INF, where=future)
-    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
+        scores += future
+    scores -= np.maximum.reduce(scores, axis=0)
+    np.exp(scores, out=scores)
+    norm = np.add.reduce(scores, axis=0)
     if keep_weights:
-        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    ctx = probs @ _heads(v, b, n_heads)
+        scores /= norm
+    probs = scores.transpose(2, 1, 3, 0)
+    # heads write their context straight into token-major rows
+    ctx = np.empty(q.shape, dtype=q.dtype)
+    ctxh = np.matmul(probs, _heads(v, b, n_heads), out=_heads(ctx, b, n_heads))
     if not keep_weights:
-        ctx /= np.add.reduce(probs, axis=-1, keepdims=True)
+        ctxh /= norm.transpose(1, 0, 2)[..., None]
         probs = None
-    return ctx.transpose(0, 2, 1, 3).reshape(q.shape), probs
+    return ctx, probs
 
 
-def attention_bwd(dctx: np.ndarray, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                  probs: np.ndarray, n_heads: int):
-    """Gradients of ``attention`` given its context gradient: returns
-    (dq, dk, dv), token-major rows like ``q``, ``k`` and ``v``."""
-    b = probs.shape[0]
-    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+def attention_bwd(dctx: np.ndarray, ctx: np.ndarray, q: np.ndarray, k: np.ndarray,
+                  v: np.ndarray, probs: np.ndarray, n_heads: int):
+    """Gradients of ``attention`` given its context rows ``ctx`` and their
+    gradient ``dctx``: returns (dq, dk, dv), shaped like ``q``, ``k`` (in
+    either layout) and ``v``.
+
+    The softmax backward needs D = rowsum(dP * P) per query and head, where
+    dP is the weights' gradient. It equals rowsum(dO * O) over the head's
+    slice of the context (FlashAttention-2, arXiv 2307.08691), which one
+    product with a [d, h] head-indicator matrix gives for every head at
+    once. The weights' gradient is laid out keys-first like the forward's
+    scores, and every product writes its heads straight into the gradient's
+    own layout.
+    """
+    b, h, t, s = probs.shape
+    d = q.shape[-1]
+    hd = d // n_heads
+    head_of = np.eye(n_heads, dtype=ctx.dtype).repeat(hd, axis=0)
+    dsum = (dctx * ctx).reshape(-1, d) @ head_of
     dctx = _heads(dctx, b, n_heads)
-    dscores = dctx @ _heads(v, b, n_heads).transpose(0, 1, 3, 2)
-    dvh = probs.transpose(0, 1, 3, 2) @ dctx
-    dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
-    dscores *= probs
-    dqh = dscores @ _heads(k, b, n_heads)
-    dqh *= scale
-    dkh = dscores.transpose(0, 1, 3, 2) @ _heads(q, b, n_heads)
-    dkh *= scale
-    return tuple(g.transpose(0, 2, 1, 3).reshape(a.shape)
-                 for g, a in ((dqh, q), (dkh, k), (dvh, v)))
+    dscores = np.empty((s, h, b, t), dtype=dctx.dtype)
+    # a contiguous [b, h, hd, t] copy, as in the forward's score product
+    np.matmul(_heads(v, b, n_heads), np.ascontiguousarray(dctx.transpose(0, 1, 3, 2)),
+              out=dscores.transpose(2, 1, 0, 3))
+    dv = np.empty_like(v)
+    np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=_heads(dv, b, n_heads))
+    dscores -= np.ascontiguousarray(dsum.reshape(b, t, h).transpose(2, 0, 1))
+    dscores *= probs.transpose(3, 1, 0, 2)
+    scale = 1.0 / math.sqrt(hd)
+    dq = np.empty_like(q)
+    np.matmul(dscores.transpose(2, 1, 3, 0), _key_heads(k, b, n_heads),
+              out=_heads(dq, b, n_heads))
+    dq *= scale
+    dk = np.empty_like(k)
+    np.matmul(dscores.transpose(2, 1, 0, 3), _heads(q, b, n_heads),
+              out=_key_heads(dk, b, n_heads))
+    dk *= scale
+    return dq, dk, dv
 
 
 GELU_C0 = math.sqrt(2.0 / math.pi)

@@ -51,10 +51,25 @@ def _mm_back(x, w, dy, need_dw=True):
 def sum_rows_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """[n, ...] sums of the rows of ``values`` grouped by ``index``: entry r
     adds up every ``values[j]`` with ``index.flat[j] == r``, for ints in
-    [0, n). One product with a one-hot matrix: at these sizes ``np.add.at``
-    takes about eight times as long."""
-    onehot = np.arange(n)[:, None] == index.reshape(-1)
-    out = onehot.astype(values.dtype) @ values.reshape(index.size, -1)
+    [0, n).
+
+    Up to 64 groups (positions, packed rows) this is one product with a
+    one-hot matrix, which does n multiply-adds per value. For more (token ids
+    over the vocabulary) it is one ``np.bincount`` per column, which sums in
+    float64 and allocates nothing larger than a column; a stable sort with
+    ``np.add.reduceat`` was as fast, but its gathered copy of ``values``
+    raised the peak resident memory of pretraining. Either is at least
+    twice as fast as ``np.add.at`` at these sizes.
+    """
+    rows = values.reshape(index.size, -1)
+    if n <= 64:
+        onehot = np.arange(n)[:, None] == index.reshape(-1)
+        out = onehot.astype(values.dtype) @ rows
+    else:
+        flat = index.reshape(-1)
+        out = np.empty((n, rows.shape[1]), dtype=values.dtype)
+        for j in range(rows.shape[1]):
+            out[:, j] = np.bincount(flat, weights=rows[:, j], minlength=n)
     return out.reshape(n, *values.shape[index.ndim:])
 
 
@@ -173,9 +188,13 @@ def forward_batch(
     An empty cache makes this a prefill, a one-token row a decode step. When
     the logits are not finite the cache has already taken the positions.
 
-    A pass without a tape keeps no attention weights: it divides each
-    context row by its weights' sum instead of normalising the weights (see
-    ``kernels.attention``).
+    The attention mask (``kernels.causal_mask`` or ``kernels.segment_mask``)
+    is built once per pass, in the keys-first layout of the scores: every
+    pass with more than one query row lays its [keys, heads, rows, queries]
+    scores out that way (see ``kernels.attention``), and the tape keeps
+    their [b, h, t, s] view as the weights. A pass without a tape keeps no
+    attention weights: it divides each context row by its weights' sum
+    instead of normalising the weights.
     """
     c = backbone.config
     p = backbone.params
@@ -281,6 +300,11 @@ def backward_batch(
     sublayer when the attention block (``ln1`` and the projections) is
     frozen. With everything trainable (pretraining) it runs the full pass.
     The gradients it returns do not depend on which other keys are trainable.
+
+    Attention's backward reads the taped context rows (``merged``) as well
+    as its weights (see ``kernels.attention_bwd``). Column sums (bias
+    gradients) are products with a ones vector, and the embedding gradient
+    groups rows by token id with ``sum_rows_by``.
     """
     c = backbone.config
     p = backbone.params
@@ -298,6 +322,7 @@ def backward_batch(
     tokens = tape["tokens"]
     b, t = tokens.shape
     hidden = tape["hidden"]  # rows, like every taped activation
+    ones = np.ones(b * t, dtype=hidden.dtype)
 
     dh = np.zeros_like(hidden)
     if dlogits is not None:
@@ -321,41 +346,39 @@ def backward_batch(
         dact, dw2 = _mm_back(lt["act"], fp[fpre + "w2"], df, need(comp, fpre + "w2"))
         add(comp, fpre + "w2", dw2)
         if need(comp, fpre + "b2"):
-            add(comp, fpre + "b2", df.reshape(-1, df.shape[-1]).sum(axis=0))
+            add(comp, fpre + "b2", ones @ df.reshape(len(ones), -1))
         dpre = gelu_grad_from_tanh(lt["pre"], lt["tanh_u"])
         dpre *= dact
         dh2, dw1 = _mm_back(lt["h2"], fp[fpre + "w1"], dpre, need(comp, fpre + "w1"))
         add(comp, fpre + "w1", dw1)
         if need(comp, fpre + "b1"):
-            add(comp, fpre + "b1", dpre.reshape(-1, dpre.shape[-1]).sum(axis=0))
+            add(comp, fpre + "b1", ones @ dpre.reshape(len(ones), -1))
         dx1_norm, dg2, db2 = layer_norm_bwd(dh2, lt["ln2c"])
         add(comp, lnpre + "g", dg2)
         add(comp, lnpre + "b", db2)
         if i == lowest and not lowest_attn:
             break
-        dx = dx + dx1_norm
+        dx += dx1_norm
 
         # attention block: x1 = x0 + wo(attn(ln(x0)))
         dmerged, dwo = _mm_back(lt["merged"], p[pre + "attn.wo"], dx, need("backbone", pre + "attn.wo"))
         add("backbone", pre + "attn.wo", dwo)
-        dq, dk, dv = attention_bwd(dmerged, lt["q"], lt["k"], lt["v"], lt["probs"], c.n_heads)
-        h1 = lt["h1"]
-        dh1 = np.zeros_like(h1)
+        dq, dk, dv = attention_bwd(dmerged, lt["merged"], lt["q"], lt["k"], lt["v"],
+                                   lt["probs"], c.n_heads)
+        dh1 = None
         for name, dterm in (("wq", dq), ("wk", dk), ("wv", dv)):
             key = pre + "attn." + name
-            dxi, dwi = _mm_back(h1, p[key], dterm, need("backbone", key))
+            dxi, dwi = _mm_back(lt["h1"], p[key], dterm, need("backbone", key))
             add("backbone", key, dwi)
-            dh1 += dxi
+            dh1 = dxi if dh1 is None else np.add(dh1, dxi, out=dh1)
         dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"])
         add("backbone", pre + "ln1.g", dg1)
         add("backbone", pre + "ln1.b", db1)
-        dx = dx + dx0_norm
+        dx += dx0_norm
 
     dx = dx.reshape(b, t, -1)
     if need("backbone", "embed"):
-        dembed = np.zeros_like(p["embed"])
-        np.add.at(dembed, tokens, dx)
-        grads[("backbone", "embed")] = dembed
+        grads[("backbone", "embed")] = sum_rows_by(tokens, dx, c.vocab_size)
     if need("backbone", "pos"):
         dpos = np.zeros_like(p["pos"])
         if tape["positions"] is None:

@@ -30,7 +30,7 @@ from ccoe.training import (
     train_planner,
 )
 
-RECIPE_VERSION = 6  # bump to invalidate cached training artifacts
+RECIPE_VERSION = 7  # bump to invalidate cached training artifacts
 
 TARGET_CONFIG = ModelConfig(n_layers=8, d_model=64, n_heads=4, d_ff=128,
                             vocab_size=260, max_seq=256)

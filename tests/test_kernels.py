@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 from ccoe.errors import ConfigError
 from ccoe.kernels import (
     attention,
+    attention_bwd,
     causal_mask,
     gelu_fwd,
     gelu_grad_from_tanh,
     layer_norm,
+    layer_norm_bwd,
     layer_norm_fwd,
     segment_mask,
 )
-from ccoe.net import _mm_back
+from ccoe.net import _mm_back, sum_rows_by
 from ccoe.rng import Rng
 
 
@@ -339,6 +341,90 @@ def test_attention_keys_major_matches_token_major_keys(t, s):
         got = attention(q, keys_major, v, 1, heads, future, keep_weights=keep)[0]
         assert np.abs(got - want).max() < 1e-12
         assert np.abs(got.reshape(t, d) - oracle).max() < 1e-10
+
+
+ATTN_BWD_CASES = {
+    # b, query rows, keys, heads, mask, keys-major keys
+    "causal": (1, 7, 7, 2, causal_mask(7), False),
+    "segment": (2, 6, 6, 2, segment_mask(np.array([[0, 1, 2, 0, 1, 0], [0, 1, 2, 3, 0, 1]])), False),
+    "keys_major": (1, 3, 7, 2, causal_mask(3, 4), True),
+    "lone_row": (1, 1, 5, 2, None, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTN_BWD_CASES))
+def test_attention_bwd_matches_central_differences(case):
+    # loss = sum(ctx * r); the gradients of q, k and v against central
+    # differences in float64, for every entry
+    b, t, s, heads, future, keys_major = ATTN_BWD_CASES[case]
+    d = 4 * heads
+    rng = Rng(41)
+    q = rng.normal((b * t, d), 1.5).astype(np.float64)
+    k = rng.normal((b * s, d), 1.5).astype(np.float64)
+    v = rng.normal((b * s, d)).astype(np.float64)
+    if t == 1:
+        q = q[0]  # a lone query row is [d]
+    if keys_major:
+        k = np.ascontiguousarray(k.T).reshape(heads, -1, s)
+    r = rng.normal(q.shape).astype(np.float64)
+
+    def loss(q, k, v):
+        return float((attention(q, k, v, b, heads, future)[0] * r).sum())
+
+    ctx, probs = attention(q, k, v, b, heads, future)
+    grads = attention_bwd(r, ctx, q, k, v, probs, heads)
+    h = 1e-6
+    for i, (x, g) in enumerate(zip((q, k, v), grads)):
+        assert g.shape == x.shape
+        fd = np.empty_like(x)
+        for j in np.ndindex(x.shape):
+            args = [q, k, v]
+            up, down = x.copy(), x.copy()
+            up[j] += h
+            down[j] -= h
+            args[i] = up
+            hi = loss(*args)
+            args[i] = down
+            fd[j] = (hi - loss(*args)) / (2 * h)
+        assert np.abs(g - fd).max() < 1e-7, ("q", "k", "v")[i]
+
+
+def _layer_norm_bwd_by_reductions(dy, cache):
+    """The layer-norm backward as row and column reductions."""
+    xh, inv, g = cache
+    n = xh.shape[-1]
+    dxh = dy * g
+    dg = (dy * xh).reshape(-1, n).sum(axis=0)
+    db = dy.reshape(-1, n).sum(axis=0)
+    m1 = dxh.mean(axis=-1, keepdims=True)
+    m2 = (dxh * xh).mean(axis=-1, keepdims=True)
+    return (dxh - m1 - xh * m2) * inv, dg, db
+
+
+@pytest.mark.parametrize("shape", [(64,), (3, 17, 64)])
+def test_layer_norm_bwd_matches_reductions(shape):
+    rng = Rng(14)
+    x = rng.normal(shape, 3.0).astype(np.float64) + 1.0
+    g, b = rng.normal((64,)).astype(np.float64), rng.normal((64,)).astype(np.float64)
+    dy = rng.normal(shape).astype(np.float64)
+    cache = layer_norm_fwd(x, g, b)[1]
+    for got, want in zip(layer_norm_bwd(dy, cache), _layer_norm_bwd_by_reductions(dy, cache)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 260])
+def test_sum_rows_by_matches_add_at(n):
+    # both groupings: the one-hot product (few groups) and per-column counts (a vocabulary)
+    rng = Rng(15)
+    index = rng.integers(0, n, size=(6, 11))
+    index[0, :4] = index[1, 3]  # repeated ids
+    values = rng.normal((6, 11, 5)).astype(np.float64)
+    want = np.zeros((n, 5))
+    np.add.at(want, index, values)
+    got = sum_rows_by(index, values, n)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_kernels_bit_identical_across_calls():
