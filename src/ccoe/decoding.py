@@ -7,9 +7,14 @@ transposed view. Prefill fills the prompt's positions in one
 cached, carries only the last row on to the logits; each decode step is a
 one-token ``forward_batch`` pass that appends exactly one position per layer,
 so cache length always equals the number of tokens processed. Training,
-planner scoring, prefill and decode all run the same block. The no-cache
-path recomputes the full forward every step and must produce identical token
-sequences; tests hold the cached path to that oracle.
+planner scoring, prefill and decode all run the same block. A decode step's
+lone row ([d]) takes the block's lean lane: weights fetched once per pass
+from cached name tables, 1-D dense products through ``np.dot``, and
+attention over the cache's per-head views with no copy (see
+``kernels.attention``). At one row a step's cost is set by the number of
+NumPy calls, about 58 per layer. The no-cache path recomputes the full
+forward every step and must produce identical token sequences; tests hold
+the cached path to that oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +27,13 @@ from .net import forward_batch
 from .tokenizer import EOS
 
 
+def _count(value, what: str) -> int:
+    """``value`` as an int >= 1; anything else raises ``SequenceLengthError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise SequenceLengthError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 class KvCache:
     """Per-layer cached keys/values for one in-flight decode.
 
@@ -30,20 +42,24 @@ class KvCache:
     so the score product multiplies the queries by ``k[i][..., :n]`` as a
     plain row-major matrix per head. ``k_rows[i]`` is a token-major
     [capacity, d_model] view of the same memory, through which a pass writes
-    its key rows. Values are token-major: ``v[i]`` is [capacity, d_model].
-    A decode step writes one row of each per layer.
+    its key rows. Values are token-major: ``v[i]`` is [capacity, d_model],
+    and ``v_heads[i]`` is its [n_heads, capacity, head_dim] view, which
+    attention slices once per layer. A decode step writes one row of each
+    per layer.
     """
 
     def __init__(self, model: BackboneModel, capacity: int | None = None):
         c = model.config
-        capacity = c.max_seq if capacity is None else capacity
+        capacity = c.max_seq if capacity is None else _count(capacity, "cache capacity")
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
         dt = model.params["embed"].dtype
+        hd = c.d_model // c.n_heads
         keys = [np.empty((c.d_model, capacity), dtype=dt) for _ in range(c.n_layers)]
-        self.k = [a.reshape(c.n_heads, -1, capacity) for a in keys]
+        self.k = [a.reshape(c.n_heads, hd, capacity) for a in keys]
         self.k_rows = [a.T for a in keys]
         self.v = [np.empty((capacity, c.d_model), dtype=dt) for _ in range(c.n_layers)]
+        self.v_heads = [a.reshape(capacity, c.n_heads, hd).transpose(1, 0, 2) for a in self.v]
         self.capacity = capacity
         self.length = 0
 
@@ -60,10 +76,10 @@ def decode_step(
     """Process one token at position len(cache); returns next-token logits [vocab].
 
     A one-token ``forward_batch`` pass over the cache, with its checks: a
-    full cache raises ``SequenceLengthError``, an id outside the vocabulary
-    ``TokenIdError`` and a bad expert position ``RoutingConfigError``, all
-    before the cache changes. Non-finite logits raise ``NumericError`` after
-    the cache has taken the position.
+    full cache raises ``SequenceLengthError``, a token that is not an
+    integer id in the vocabulary ``TokenIdError`` and a bad expert position
+    ``RoutingConfigError``, all before the cache changes. Non-finite logits
+    raise ``NumericError`` after the cache has taken the position.
     """
     return forward_batch(model, np.array([[token]]), expert, cache=cache)[0][0, 0]
 
@@ -86,8 +102,7 @@ def greedy_decode(
     """
     if not prompt:
         raise SequenceLengthError("prompt must be nonempty")
-    if max_new < 1:
-        raise SequenceLengthError("max_new must be >= 1")
+    max_new = _count(max_new, "max_new")
     if len(prompt) + max_new > model.config.max_seq:
         raise SequenceLengthError(
             f"prompt ({len(prompt)}) + max_new ({max_new}) exceeds max_seq {model.config.max_seq}"

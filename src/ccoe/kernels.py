@@ -3,20 +3,30 @@
 The layer norm, causal scaled dot-product attention and the tanh-form GELU,
 each with the gradient its backward pass needs; ``net.forward_batch`` and
 ``net.backward_batch`` call them for training, planner scoring, prefill and
-decode alike. ``layer_norm`` is the
-forward layer norm with its eps and finiteness checks, which the oracle tests
-hold to a float64 reference. Attention over more than one query row lays its
-scores out keys-first, [keys, heads, rows, queries], so that the softmax's
-passes over the short key axis run over whole contiguous slices; the masks
-(``causal_mask``, ``segment_mask``) come in that layout. Every kernel is a
-pure function and
-bit-identical across calls for identical inputs. Scalar constants stay Python
-floats so the same code runs in float64 when tests feed 64-bit parameter
-copies.
+decode alike. ``layer_norm`` is the forward layer norm with its eps and
+finiteness checks, which the oracle tests hold to a float64 reference.
+Attention over more than one query row lays its scores out keys-first,
+[keys, heads, rows, queries], so that the softmax's passes over the short key
+axis run over whole contiguous slices; the masks (``causal_mask``,
+``segment_mask``) come in that layout.
+
+A lone row ([d], a decode step) goes through each kernel in as few NumPy
+calls as its arithmetic allows, because at one row each call's fixed cost of
+about 0.3-1 us, not the arithmetic, sets the time: the layer norm reduces to
+scalars, attention works on [h, 1, hd] per-head views, and GELU's and
+attention's constants are 0-d arrays of the operand's dtype (``_constant``),
+which NumPy applies faster than Python floats, bit for bit alike.
+
+Every kernel is a pure function and bit-identical across calls for identical
+inputs. Every kernel is dtype-agnostic, so the same code runs in float64
+when tests feed 64-bit parameter copies: scalar constants are Python floats,
+which never promote float32 arrays, or ``_constant`` arrays of the operand's
+dtype.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +34,16 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 NEG_INF = float("-inf")
+
+
+@functools.cache
+def _constant(dtype: np.dtype, value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d array of ``dtype``. An array op by one
+    gives the same bits as by the Python float (which NumPy casts to the
+    array's dtype first) and, at one row, costs about 0.3 us less."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
 
 
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -34,7 +54,9 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     ``ndarray.mean`` computes, bit for bit, without its Python-level wrapper.
     A lone row ([d]) reduces to NumPy scalars: their arithmetic is the same
     IEEE operations at about half the per-call cost of [1] arrays, and a
-    decode step on an 8-layer model calls this 17 times on one row.
+    decode step on an 8-layer model calls this 17 times on one row. Its
+    ``inv`` becomes a [1] array before it scales the row, which NumPy does
+    faster than by a scalar and which the backward pass takes as it is.
     """
     n = x.shape[-1]
     keep = x.ndim > 1
@@ -45,10 +67,12 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     var /= n
     var += eps
     inv = 1.0 / np.sqrt(var)
+    if not keep:
+        inv = inv[None]
     xc *= inv
     out = xc * gain
     out += bias
-    return out, (xc, inv.reshape(*x.shape[:-1], 1), gain)
+    return out, (xc, inv, gain)
 
 
 def layer_norm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,18 +148,24 @@ def _key_heads(k: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     return _heads(k, b, n_heads) if k.ndim < 3 else k.transpose(0, 2, 1)[None]
 
 
+def _value_heads(v: np.ndarray, b: int, n_heads: int) -> np.ndarray:
+    """Values in either layout ``attention`` takes, as a [b, h, s, hd] view."""
+    return _heads(v, b, n_heads) if v.ndim < 3 else v[None]
+
+
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
               future: np.ndarray | None = None, keep_weights: bool = True,
               ) -> tuple[np.ndarray, np.ndarray | None]:
     """Scaled dot-product attention of ``b`` sequences of token-major rows.
 
-    ``q`` is [b*t, d] (one query row may be [d]) and ``v`` is [b*s, d].
-    ``k`` comes in either of two layouts:
+    ``q`` is [b*t, d] (one query row may be [d]). ``k`` and ``v`` each come
+    in either of two layouts:
 
-    - token-major rows [b*s, d] (one key row may be [d]), as a training or
+    - token-major rows [b*s, d] (one row may be [d]), as a training or
       other uncached pass makes them;
-    - keys-major [n_heads, head_dim, s] for one sequence (``b == 1``), the
-      ``decoding.KvCache`` layout.
+    - for one sequence (``b == 1``), the ``decoding.KvCache`` layouts: keys
+      keys-major [n_heads, head_dim, s], values a heads-major
+      [n_heads, s, head_dim] view.
 
     Heads are contiguous slices of the feature axis, taken as views. The
     1/sqrt(head_dim) scale multiplies the queries, not the scores.
@@ -145,9 +175,14 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     and the mask, the max, the exp and the sum over keys are elementwise
     passes over whole [h, b, t] slices instead of reductions along rows
     only ``s`` long. ``future`` is the additive keys-first mask of
-    ``causal_mask`` or ``segment_mask``, built once per pass. A lone query
-    row [d] (a decode step, or the last layer of a cached pass) sees every
-    key, and its [1, h, 1, s] scores are reduced along the keys.
+    ``causal_mask`` or ``segment_mask``, built once per pass.
+
+    A lone query row [d] (a decode step, or the last layer of a cached
+    pass) sees every key and takes the lean lane: one [h, 1, hd] reshape of
+    the queries, a ``_constant`` scale of their dtype, [h, 1, s] scores
+    reduced along the keys, and one reshape of the [h, 1, hd] context back
+    to [d]. That is ten NumPy calls, since at one row their count, not the
+    arithmetic, sets the cost.
 
     Returns (context rows shaped like ``q``, weights as a [b, h, t, s]
     view). Without ``keep_weights`` the weights are left unnormalised, the
@@ -158,18 +193,19 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     scale = 1.0 / math.sqrt(hd)
     if q.ndim == 1:
         if k.ndim < 3:
-            k = k.reshape(b, -1, n_heads, hd).transpose(0, 2, 3, 1)
-        probs = (_heads(q, b, n_heads) * scale) @ k
+            k = k.reshape(-1, n_heads, hd).transpose(1, 2, 0)
+        if v.ndim < 3:
+            v = v.reshape(-1, n_heads, hd).transpose(1, 0, 2)
+        probs = np.matmul(q.reshape(n_heads, 1, hd) * _constant(q.dtype, scale), k)
         probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         norm = np.add.reduce(probs, axis=-1, keepdims=True)
         if keep_weights:
             probs /= norm
-        ctx = probs @ _heads(v, b, n_heads)
-        if not keep_weights:
-            ctx /= norm
-            probs = None
-        return ctx.transpose(0, 2, 1, 3).reshape(q.shape), probs
+            return np.matmul(probs, v).reshape(q.shape), probs[None]
+        ctx = np.matmul(probs, v)
+        ctx /= norm
+        return ctx.reshape(q.shape), None
 
     # the scaled queries as a contiguous [b, h, hd, t]: multiplying the keys
     # by a transposed view of them takes about twice as long
@@ -188,7 +224,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     probs = scores.transpose(2, 1, 3, 0)
     # heads write their context straight into token-major rows
     ctx = np.empty(q.shape, dtype=q.dtype)
-    ctxh = np.matmul(probs, _heads(v, b, n_heads), out=_heads(ctx, b, n_heads))
+    ctxh = np.matmul(probs, _value_heads(v, b, n_heads), out=_heads(ctx, b, n_heads))
     if not keep_weights:
         ctxh /= norm.transpose(1, 0, 2)[..., None]
         probs = None
@@ -239,18 +275,28 @@ GELU_C0 = math.sqrt(2.0 / math.pi)
 GELU_C1 = 0.044715
 
 
+@functools.cache
+def _gelu_constants(dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """(C0*C1, C0, 1, 1/2) as 0-d arrays of ``dtype``."""
+    return tuple(_constant(dtype, c) for c in (GELU_C0 * GELU_C1, GELU_C0, 1.0, 0.5))
+
+
 def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smooth GELU (tanh form); also returns tanh(u) for reuse in the backward
-    pass. Written with in-place ops: these arrays sit on the training hot path."""
+    pass. Written with in-place ops: these arrays sit on the training hot path.
+
+    u = C0 * (x + C1 * x^3) is formed as x * (C0 + C0*C1 * x^2), with the two
+    constants folded into one, so the forward is 8 NumPy calls; the
+    constants are 0-d arrays of ``x``'s dtype (see ``_constant``)."""
+    c01, c0, one, half = _gelu_constants(x.dtype)
     u = x * x
+    u *= c01
+    u += c0
     u *= x
-    u *= GELU_C1
-    u += x
-    u *= GELU_C0
     np.tanh(u, out=u)
-    y = u + 1.0
+    y = u + one
     y *= x
-    y *= 0.5
+    y *= half
     return y, u
 
 

@@ -21,6 +21,7 @@ Python floats so they never promote float32 arrays.
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,13 +75,16 @@ def sum_rows_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def check_token_ids(ids: np.ndarray, vocab_size: int, what: str = "token") -> None:
-    """Raise ``TokenIdError`` unless every id lies in ``[0, vocab_size)``.
+    """Raise ``TokenIdError`` unless ``ids`` are integers that all lie in
+    ``[0, vocab_size)``.
 
     NumPy indexing would otherwise raise a bare ``IndexError`` in the embedding
     lookup for an id >= vocab_size and wrap a negative id to a row from the end.
     """
+    if ids.dtype.kind not in "iu":
+        raise TokenIdError(f"{what} ids must be integers, got dtype {ids.dtype}")
     # one reduction: a negative id wraps to a huge unsigned one
-    if ids.size and ids.astype(np.uint64, copy=False).max() >= vocab_size:
+    if ids.size and np.maximum.reduce(ids.astype(np.uint64, copy=False), axis=None) >= vocab_size:
         bad = int(ids[(ids < 0) | (ids >= vocab_size)].flat[0])
         raise TokenIdError(f"{what} id {bad} outside vocabulary [0, {vocab_size})")
 
@@ -90,21 +94,43 @@ FFN_PARAMS = ("w1", "b1", "w2", "b2")
 
 
 @functools.cache
-def _ffn_prefixes(n_layers: int) -> tuple[tuple[str, str, str, str], ...]:
-    """Per layer: (expert prefix, expert norm prefix, backbone prefix,
-    backbone norm prefix)."""
-    return tuple((f"p{i}.", f"p{i}.ln.", f"layers.{i}.ffn.", f"layers.{i}.ln2.")
+def layer_names(n_layers: int) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """Per layer: the names of its attention block's tensors (``ATTN_PARAMS``
+    order), then those of its backbone feed-forward sublayer and of an
+    expert's replacement for it, each as (norm gain, norm bias, w1, b1, w2,
+    b2)."""
+    return tuple((tuple(f"layers.{i}.{n}" for n in ATTN_PARAMS),
+                  (f"layers.{i}.ln2.g", f"layers.{i}.ln2.b",
+                   *(f"layers.{i}.ffn.{w}" for w in FFN_PARAMS)),
+                  (f"p{i}.ln.g", f"p{i}.ln.b", *(f"p{i}.{w}" for w in FFN_PARAMS)))
                  for i in range(n_layers))
 
 
+@functools.cache
+def _layer_getters(n_layers: int) -> tuple[tuple[itemgetter, ...], ...]:
+    """``layer_names`` as itemgetters: each fetches its tensors in one call."""
+    return tuple(tuple(itemgetter(*names) for names in layer) for layer in layer_names(n_layers))
+
+
 def ffn_sources(backbone: BackboneModel, expert: ExpertSubnetwork | None):
-    """Per-layer feed-forward parameter source: (component, params, prefix,
-    norm prefix). The sublayer's weights are ``prefix + FFN_PARAMS`` and its
-    pre-norm is ``norm prefix + "g"/"b"``, all in ``params``."""
+    """Per-layer feed-forward parameter source: (component, params, names),
+    with ``names`` the sublayer's (norm gain, norm bias, w1, b1, w2, b2) in
+    ``params``."""
     positions = expert.positions if expert is not None else ()
     bp = backbone.params
-    return [("expert", expert.params, ep, elp) if i in positions else ("backbone", bp, fp, lnp)
-            for i, (ep, elp, fp, lnp) in enumerate(_ffn_prefixes(backbone.config.n_layers))]
+    return [("expert", expert.params, en) if i in positions else ("backbone", bp, bn)
+            for i, (_, bn, en) in enumerate(layer_names(backbone.config.n_layers))]
+
+
+def layer_weights(backbone: BackboneModel, expert: ExpertSubnetwork | None):
+    """Per layer: (its attention tensors in ``ATTN_PARAMS`` order, its
+    feed-forward tensors as (norm gain, norm bias, w1, b1, w2, b2)), the
+    latter the expert's at the expert's positions. Two dictionary fetches per
+    layer, through cached name tables."""
+    p = backbone.params
+    positions = expert.positions if expert is not None else ()
+    return [(attn(p), expert_ffn(expert.params) if i in positions else ffn(p))
+            for i, (attn, ffn, expert_ffn) in enumerate(_layer_getters(backbone.config.n_layers))]
 
 
 def _lowest_trainable_layer(n_layers: int, srcs, trainable: set[GradKey]):
@@ -113,12 +139,9 @@ def _lowest_trainable_layer(n_layers: int, srcs, trainable: set[GradKey]):
     trainable and ``n_layers`` when no layer is."""
     if ("backbone", "embed") in trainable or ("backbone", "pos") in trainable:
         return -1, True
-    for i in range(n_layers):
-        attn = any(("backbone", f"layers.{i}.{n}") in trainable for n in ATTN_PARAMS)
-        comp, _, fpre, lnpre = srcs[i]
-        ffn = any((comp, n) in trainable
-                  for n in (*(fpre + w for w in FFN_PARAMS), lnpre + "g", lnpre + "b"))
-        if attn or ffn:
+    for i, ((attn_names, _, _), (comp, _, ffn_names)) in enumerate(zip(layer_names(n_layers), srcs)):
+        attn = any(("backbone", n) in trainable for n in attn_names)
+        if attn or any((comp, n) in trainable for n in ffn_names):
             return i, attn
     return n_layers, False
 
@@ -174,9 +197,20 @@ def forward_batch(
     own.
 
     The block is token-major: activations are rows [b*t, d], every dense op
-    is one flat matrix product and the heads are views. A lone row stays 1-D
-    ([d]), which spares a one-token decode step NumPy's per-call cost of the
-    extra axis.
+    is one flat matrix product and the heads are views. A pass fetches
+    each layer's weights once, through cached name tables
+    (``layer_weights``). ``tokens`` that are not a nonempty 2-D batch raise
+    ``DimensionError`` and ids that are not integers in the vocabulary
+    ``TokenIdError``, checked once per pass.
+
+    A lone row stays 1-D ([d]) and takes a lean lane through the same loop:
+    a one-token decode step, and the last layer of a cached prefill, cost
+    about 58 NumPy calls per layer, and at one row each call's fixed cost,
+    not the arithmetic, sets the time. Its products are 1-D ``np.dot``
+    calls, about 0.5 us cheaper than ``np.matmul`` at one row (which is the
+    faster of the two, bit for bit alike, at hundreds of rows); the kernels
+    take their lone-row forms (see ``kernels``); and a cached pass writes
+    its value rows straight into the cache.
 
     With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped,
     unpacked row and appends its ``t`` positions at ``len(cache)``: every
@@ -200,6 +234,8 @@ def forward_batch(
     p = backbone.params
     if expert is not None:
         validate_positions(c, expert.positions)
+    if tokens.ndim != 2 or not tokens.size:
+        raise DimensionError(f"tokens must be a nonempty [rows, positions] batch, got {tokens.shape}")
     b, t = tokens.shape
     start = 0
     if cache is not None:
@@ -229,37 +265,42 @@ def forward_batch(
             )
         future = segment_mask(positions)
         x = p["embed"][tokens] + p["pos"][positions]
-    srcs = ffn_sources(backbone, expert)
+    # a one-token pass writes its cache rows through an index, cheaper than a slice
+    cached = slice(start, end) if t > 1 else start
 
     x = x.reshape((b * t, c.d_model) if b * t > 1 else (c.d_model,))
+    # the same bits either way: np.dot has the lower fixed cost at one row,
+    # np.matmul is 10-20% faster from a few hundred rows
+    dot = np.dot if b * t == 1 else np.matmul
     layers_tape = []
     last = c.n_layers - 1
-    for i in range(c.n_layers):
-        pre = f"layers.{i}."
-        h1, ln1c = layer_norm_fwd(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        k = h1 @ p[pre + "attn.wk"]
-        v = h1 @ p[pre + "attn.wv"]
-        if cache is not None:
-            cache.k_rows[i][start:end] = k
-            cache.v[i][start:end] = v
+    for i, ((ln1g, ln1b, wq, wk, wv, wo), (ln2g, ln2b, w1, b1, w2, b2)) in enumerate(
+            layer_weights(backbone, expert)):
+        h1, ln1c = layer_norm_fwd(x, ln1g, ln1b)
+        k = dot(h1, wk)
+        if cache is None:
+            v = dot(h1, wv)
+        else:
+            cache.k_rows[i][cached] = k
+            dot(h1, wv, out=cache.v[i][cached])
             k = cache.k[i][..., :end]
-            v = cache.v[i][:end]
+            v = cache.v_heads[i][:, :end]
             if i == last and t > 1:
                 # every position's keys and values are cached: only the
                 # last row, which sees them all, goes on to the logits
                 x, h1, future = x[-1], h1[-1], None
-        q = h1 @ p[pre + "attn.wq"]
+        q = dot(h1, wq)
         merged, probs = attention(q, k, v, b, c.n_heads, future, keep_weights=want_tape)
-        x1 = x + merged @ p[pre + "attn.wo"]
+        x1 = dot(merged, wo)
+        x1 += x
 
-        _, fp, fpre, lnpre = srcs[i]
-        h2, ln2c = layer_norm_fwd(x1, fp[lnpre + "g"], fp[lnpre + "b"])
-        pre_act = h2 @ fp[fpre + "w1"]
-        pre_act += fp[fpre + "b1"]
+        h2, ln2c = layer_norm_fwd(x1, ln2g, ln2b)
+        pre_act = dot(h2, w1)
+        pre_act += b1
         act, tanh_u = gelu_fwd(pre_act)
-        f_out = act @ fp[fpre + "w2"]
-        f_out += fp[fpre + "b2"]
-        x = x1 + f_out
+        x = dot(act, w2)
+        x += b2
+        x += x1
         if want_tape:
             layers_tape.append({
                 "h1": h1, "ln1c": ln1c, "q": q, "k": k, "v": v, "probs": probs,
@@ -270,7 +311,7 @@ def forward_batch(
     if cache is not None:
         cache.length = end
     hidden, lnfc = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
-    logits = hidden @ p["head"]
+    logits = dot(hidden, p["head"])
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")
     tape = None
@@ -336,44 +377,44 @@ def backward_batch(
     add("backbone", "ln_f.g", dg)
     add("backbone", "ln_f.b", db)
 
+    names = layer_names(c.n_layers)
     for i in reversed(range(max(lowest, 0), c.n_layers)):
         lt = tape["layers"][i]
-        pre = f"layers.{i}."
-        comp, fp, fpre, lnpre = srcs[i]
+        ln1g, ln1b, wq, wk, wv, wo = names[i][0]
+        comp, fp, (ln2g, ln2b, w1, b1, w2, b2) = srcs[i]
 
         # feed-forward block: x = x1 + f(ln(x1))
         df = dx
-        dact, dw2 = _mm_back(lt["act"], fp[fpre + "w2"], df, need(comp, fpre + "w2"))
-        add(comp, fpre + "w2", dw2)
-        if need(comp, fpre + "b2"):
-            add(comp, fpre + "b2", ones @ df.reshape(len(ones), -1))
+        dact, dw2 = _mm_back(lt["act"], fp[w2], df, need(comp, w2))
+        add(comp, w2, dw2)
+        if need(comp, b2):
+            add(comp, b2, ones @ df.reshape(len(ones), -1))
         dpre = gelu_grad_from_tanh(lt["pre"], lt["tanh_u"])
         dpre *= dact
-        dh2, dw1 = _mm_back(lt["h2"], fp[fpre + "w1"], dpre, need(comp, fpre + "w1"))
-        add(comp, fpre + "w1", dw1)
-        if need(comp, fpre + "b1"):
-            add(comp, fpre + "b1", ones @ dpre.reshape(len(ones), -1))
+        dh2, dw1 = _mm_back(lt["h2"], fp[w1], dpre, need(comp, w1))
+        add(comp, w1, dw1)
+        if need(comp, b1):
+            add(comp, b1, ones @ dpre.reshape(len(ones), -1))
         dx1_norm, dg2, db2 = layer_norm_bwd(dh2, lt["ln2c"])
-        add(comp, lnpre + "g", dg2)
-        add(comp, lnpre + "b", db2)
+        add(comp, ln2g, dg2)
+        add(comp, ln2b, db2)
         if i == lowest and not lowest_attn:
             break
         dx += dx1_norm
 
         # attention block: x1 = x0 + wo(attn(ln(x0)))
-        dmerged, dwo = _mm_back(lt["merged"], p[pre + "attn.wo"], dx, need("backbone", pre + "attn.wo"))
-        add("backbone", pre + "attn.wo", dwo)
+        dmerged, dwo = _mm_back(lt["merged"], p[wo], dx, need("backbone", wo))
+        add("backbone", wo, dwo)
         dq, dk, dv = attention_bwd(dmerged, lt["merged"], lt["q"], lt["k"], lt["v"],
                                    lt["probs"], c.n_heads)
         dh1 = None
-        for name, dterm in (("wq", dq), ("wk", dk), ("wv", dv)):
-            key = pre + "attn." + name
+        for key, dterm in ((wq, dq), (wk, dk), (wv, dv)):
             dxi, dwi = _mm_back(lt["h1"], p[key], dterm, need("backbone", key))
             add("backbone", key, dwi)
             dh1 = dxi if dh1 is None else np.add(dh1, dxi, out=dh1)
         dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"])
-        add("backbone", pre + "ln1.g", dg1)
-        add("backbone", pre + "ln1.b", db1)
+        add("backbone", ln1g, dg1)
+        add("backbone", ln1b, db1)
         dx += dx0_norm
 
     dx = dx.reshape(b, t, -1)

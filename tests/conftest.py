@@ -30,7 +30,9 @@ from ccoe.training import (
     train_planner,
 )
 
-RECIPE_VERSION = 7  # bump to invalidate cached training artifacts
+# bump to invalidate cached training artifacts; 8: gelu_fwd folds its
+# constants, which rounds about 5% of float32 activations one ulp differently
+RECIPE_VERSION = 8
 
 TARGET_CONFIG = ModelConfig(n_layers=8, d_model=64, n_heads=4, d_ff=128,
                             vocab_size=260, max_seq=256)

@@ -343,6 +343,26 @@ def test_attention_keys_major_matches_token_major_keys(t, s):
         assert np.abs(got.reshape(t, d) - oracle).max() < 1e-10
 
 
+@pytest.mark.parametrize("t", [1, 4, 11])
+def test_attention_on_cache_layouts_matches_token_major_rows(t):
+    # the KV cache hands attention keys-major keys and a heads-major
+    # [heads, s, head_dim] view of its token-major value rows
+    rng = Rng(33)
+    heads, d, s = 2, 8, 11
+    q, k, v = _float64_rows(rng, s, d)
+    q = q[s - t:] if t > 1 else q[-1]
+    keys_major = np.ascontiguousarray(k.T).reshape(heads, -1, s)
+    values = v.reshape(s, heads, -1).transpose(1, 0, 2)
+    future = causal_mask(t, s - t)
+    for keep in (True, False):
+        want, want_w = attention(q, k, v, 1, heads, future, keep_weights=keep)
+        got, got_w = attention(q, keys_major, values, 1, heads, future, keep_weights=keep)
+        assert got.shape == q.shape
+        assert np.abs(got - want).max() < 1e-12
+        if keep:
+            assert got_w.shape == want_w.shape == (1, heads, t, s)
+
+
 ATTN_BWD_CASES = {
     # b, query rows, keys, heads, mask, keys-major keys
     "causal": (1, 7, 7, 2, causal_mask(7), False),
@@ -437,6 +457,15 @@ def test_kernels_bit_identical_across_calls():
     assert np.array_equal(softmax_rows(x), softmax_rows(x))
     assert np.array_equal(layer_norm(x, g, bias), layer_norm(x, g, bias))
     assert np.array_equal(causal_attention(q, k, v, 2), causal_attention(q, k, v, 2))
+
+
+def test_gelu_matches_the_textbook_tanh_form_in_float64():
+    # gelu_fwd folds C0 * (x + C1 * x^3) into x * (C0 + C0*C1 * x^2)
+    x = np.linspace(-8.0, 8.0, 4001)
+    want = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+    got, tanh_u = gelu_fwd(x)
+    assert got.dtype == tanh_u.dtype == np.float64
+    assert np.abs(got - want).max() < 1e-15
 
 
 def test_gelu_matches_finite_difference():

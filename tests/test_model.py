@@ -117,6 +117,23 @@ def test_forward_rejects_token_id_outside_vocab(tiny_model, bad):
         forward_batch(tiny_model, np.asarray([[257, bad, 3]], dtype=np.int64))
 
 
+def test_forward_base_rejects_an_empty_sequence(tiny_model):
+    with pytest.raises(DimensionError):
+        forward_base(tiny_model, [])
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (0, 3), (3,)])
+def test_forward_rejects_a_malformed_token_batch(tiny_model, shape):
+    # an empty batch or a 1-D array is not a [rows, positions] batch
+    with pytest.raises(DimensionError):
+        forward_batch(tiny_model, np.full(shape, 257, dtype=np.int64))
+
+
+def test_forward_rejects_float_token_ids(tiny_model):
+    with pytest.raises(TokenIdError):
+        forward_batch(tiny_model, np.asarray([[257.0, 1.0, 2.0]]))
+
+
 def test_forward_golden_regression(tiny_model):
     """Self-captured golden: regenerated from the oracle-validated kernels and
     frozen; guards against silent numeric drift."""
@@ -260,6 +277,27 @@ def test_decode_step_rejects_token_id_outside_vocab(tiny_model, bad):
     with pytest.raises(TokenIdError):
         decode_step(tiny_model, None, bad, cache)
     assert len(cache) == 1
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+def test_decode_step_rejects_a_token_that_is_not_an_integer(tiny_model, bad):
+    cache = KvCache(tiny_model)
+    decode_step(tiny_model, None, 257, cache)
+    with pytest.raises(TokenIdError):
+        decode_step(tiny_model, None, bad, cache)
+    assert len(cache) == 1
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_kv_cache_capacity_below_one_rejected(tiny_model, capacity):
+    with pytest.raises(SequenceLengthError):
+        KvCache(tiny_model, capacity)
+
+
+@pytest.mark.parametrize("max_new", [2.5, "3", True])
+def test_greedy_decode_rejects_a_max_new_that_is_not_an_integer(tiny_model, max_new):
+    with pytest.raises(SequenceLengthError):
+        greedy_decode(tiny_model, None, [257, 5], max_new)
 
 
 def test_decode_step_raises_on_non_finite_logits(tiny_model):
@@ -436,4 +474,18 @@ def test_long_prompt_cached_greedy_equals_uncached_in_float32(
     for expert in (None, mid_expert):
         cached = greedy_decode(mid_model, expert, prompt, 6, stop_token=None)
         assert cached == greedy_decode(mid_model, expert, prompt, 6, use_cache=False,
+                                       stop_token=None)
+
+
+@settings(deadline=None, max_examples=3)
+@given(length=st.integers(10, 40), seed=st.integers(0, 2**16))
+def test_short_prompt_cached_greedy_equals_uncached_in_float32(
+        mid_model, mid_expert, length, seed):
+    # a gated request as mixed serving sends it: a 10-40-token prompt and 24
+    # new tokens, of which 23 are one-row decode steps
+    prompt = _long_prompt(length, seed)
+    for expert in (None, mid_expert):
+        cached = greedy_decode(mid_model, expert, prompt, 24, stop_token=None)
+        assert len(cached) == 24
+        assert cached == greedy_decode(mid_model, expert, prompt, 24, use_cache=False,
                                        stop_token=None)
