@@ -257,11 +257,16 @@ def _build(header: dict[str, Any], tensors: dict[str, np.ndarray]):
 def load_checkpoint(path: str | os.PathLike):
     """Load and verify a checkpoint; returns the reconstructed component.
 
-    Raises ``CorruptionError`` for a short, damaged or malformed file and
-    ``VersionError`` for a file of another format version.
+    Raises ``CorruptionError`` for a short, damaged or malformed file,
+    ``VersionError`` for a file of another format version and
+    ``ConfigError`` for a path that names a directory.
     """
-    with open(path, "rb") as f:
-        return _loads(f.read(), path)
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except IsADirectoryError as exc:
+        raise ConfigError(f"{path}: a directory, not a checkpoint file") from exc
+    return _loads(blob, path)
 
 
 def _loads(blob: bytes, path: str | os.PathLike = "<bytes>"):

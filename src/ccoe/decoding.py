@@ -4,33 +4,34 @@ The cache holds the keys and values of one request's positions, keys
 stored keys-major so that attention multiplies the queries by them without a
 transposed view. Prefill fills the prompt's positions in one
 ``forward_batch`` pass, whose last layer, once its keys and values are
-cached, carries only the last row on to the logits; each decode step is a
-one-token ``forward_batch`` pass that appends exactly one position per layer,
-so cache length always equals the number of tokens processed. Training,
-planner scoring, prefill and decode all run the same block. A decode step's
-lone row ([d]) takes the block's lean lane: weights fetched once per pass
-from cached name tables, 1-D dense products through ``np.dot``, and
-attention over the cache's per-head views with no copy (see
-``kernels.attention``). At one row a step's cost is set by the number of
-NumPy calls, about 58 per layer. The no-cache path recomputes the full
-forward every step and must produce identical token sequences; tests hold
-the cached path to that oracle.
+cached, carries only the last row on to the logits; a prompt longer than
+``2 * kernels.TILE`` tokens is attended in causal query tiles, each scoring
+only the keys its queries can see (see ``kernels.attention``). Each decode
+step is a one-token ``forward_batch`` pass that appends exactly one position
+per layer, so cache length always equals the number of tokens processed.
+Training, planner scoring, prefill and decode all run the same block. A
+decode step's lone row ([d]) takes the block's lean lane: weights fetched
+once per pass from cached name tables, 1-D dense products through
+``np.dot``, and attention over the cache's per-head views with no copy.
+The no-cache path recomputes the full forward every step and must produce
+identical token sequences; tests hold the cached path to that oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SequenceLengthError
+from .errors import CcoeError, SequenceLengthError
 from .model import BackboneModel, ExpertSubnetwork
-from .net import forward_batch
+from .net import check_token_ids, forward_batch
 from .tokenizer import EOS
 
 
-def _count(value, what: str) -> int:
-    """``value`` as an int >= 1; anything else raises ``SequenceLengthError``."""
+def check_count(value, what: str, error: type[CcoeError] = SequenceLengthError) -> int:
+    """``value`` as an int >= 1; anything else, a bool included, raises
+    ``error``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise SequenceLengthError(f"{what} must be an integer >= 1, got {value!r}")
+        raise error(f"{what} must be an integer >= 1, got {value!r}")
     return int(value)
 
 
@@ -50,7 +51,7 @@ class KvCache:
 
     def __init__(self, model: BackboneModel, capacity: int | None = None):
         c = model.config
-        capacity = c.max_seq if capacity is None else _count(capacity, "cache capacity")
+        capacity = c.max_seq if capacity is None else check_count(capacity, "cache capacity")
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
         dt = model.params["embed"].dtype
@@ -99,15 +100,20 @@ def greedy_decode(
     The cached path prefills the prompt with one ``forward_batch`` pass and
     decodes each generated token but the last with ``decode_step``. Both paths
     raise ``NumericError`` on non-finite logits.
+
+    ``prompt`` is a list or 1-D array of ids. It is converted once, without
+    a cast: an id that is not an integer in the vocabulary (a float, a str)
+    raises ``TokenIdError``, and an empty prompt ``SequenceLengthError``.
     """
-    if not prompt:
+    if len(prompt) == 0:
         raise SequenceLengthError("prompt must be nonempty")
-    max_new = _count(max_new, "max_new")
+    max_new = check_count(max_new, "max_new")
     if len(prompt) + max_new > model.config.max_seq:
         raise SequenceLengthError(
             f"prompt ({len(prompt)}) + max_new ({max_new}) exceeds max_seq {model.config.max_seq}"
         )
-    tokens = np.asarray([prompt], dtype=np.int64)
+    tokens = np.asarray(prompt)[None]
+    check_token_ids(tokens, model.config.vocab_size, "prompt")
     # the last generated token is never fed back, so it needs no cache position
     cache = KvCache(model, len(prompt) + max_new - 1) if use_cache else None
     logits = forward_batch(model, tokens, expert=expert, cache=cache)[0][0, -1]

@@ -10,12 +10,19 @@ Attention over more than one query row lays its scores out keys-first,
 axis run over whole contiguous slices; the masks (``causal_mask``,
 ``segment_mask``) come in that layout.
 
+A long causal pass over one sequence without a tape (``tiles_queries``: more
+than ``2 * TILE`` queries) runs its queries in tiles at most ``TILE`` wide.
+Each tile scores only the keys its queries can see and masks only its
+diagonal block, so no full causal mask is built and no score that the mask
+would hide is computed outside that block. Taped, packed and shorter passes
+are one tile with a full mask.
+
 A lone row ([d], a decode step) goes through each kernel in as few NumPy
-calls as its arithmetic allows, because at one row each call's fixed cost of
-about 0.3-1 us, not the arithmetic, sets the time: the layer norm reduces to
-scalars, attention works on [h, 1, hd] per-head views, and GELU's and
-attention's constants are 0-d arrays of the operand's dtype (``_constant``),
-which NumPy applies faster than Python floats, bit for bit alike.
+calls as its arithmetic allows, because at one row each call's fixed cost,
+not the arithmetic, sets the time: the layer norm reduces to scalars,
+attention works on [h, 1, hd] per-head views, and GELU's and attention's
+constants are 0-d arrays of the operand's dtype (``_constant``), which NumPy
+applies faster than Python floats, bit for bit alike.
 
 Every kernel is a pure function and bit-identical across calls for identical
 inputs. Every kernel is dtype-agnostic, so the same code runs in float64
@@ -40,7 +47,7 @@ NEG_INF = float("-inf")
 def _constant(dtype: np.dtype, value: float) -> np.ndarray:
     """``value`` as a read-only 0-d array of ``dtype``. An array op by one
     gives the same bits as by the Python float (which NumPy casts to the
-    array's dtype first) and, at one row, costs about 0.3 us less."""
+    array's dtype first) and, at one row, costs less."""
     c = np.array(value, dtype=dtype)
     c.flags.writeable = False
     return c
@@ -53,8 +60,7 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     Each mean is ``np.add.reduce`` followed by a divide, which is what
     ``ndarray.mean`` computes, bit for bit, without its Python-level wrapper.
     A lone row ([d]) reduces to NumPy scalars: their arithmetic is the same
-    IEEE operations at about half the per-call cost of [1] arrays, and a
-    decode step on an 8-layer model calls this 17 times on one row. Its
+    IEEE operations at a lower per-call cost than [1] arrays. Its
     ``inv`` becomes a [1] array before it scales the row, which NumPy does
     faster than by a scalar and which the backward pass takes as it is.
     """
@@ -75,8 +81,9 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     return out, (xc, inv, gain)
 
 
-def layer_norm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of ``layer_norm_fwd``: returns (dx, dgain, dbias).
+def layer_norm_bwd(dy: np.ndarray, cache, need_dparams: bool = True):
+    """Gradients of ``layer_norm_fwd``: returns (dx, dgain, dbias); dgain
+    and dbias are None unless ``need_dparams``, for a frozen norm.
 
     Every sum is a product with a ones (or 1/n) vector: NumPy reduces the
     short feature axis of each row, and the row axis of each column, more
@@ -84,10 +91,12 @@ def layer_norm_bwd(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     xh, inv, g = cache
     n = xh.shape[-1]
-    rows = dy.reshape(-1, n)
-    ones = np.ones(len(rows), dtype=dy.dtype)
-    dg = ones @ (rows * xh.reshape(-1, n))
-    db = ones @ rows
+    dg = db = None
+    if need_dparams:
+        rows = dy.reshape(-1, n)
+        ones = np.ones(len(rows), dtype=dy.dtype)
+        dg = ones @ (rows * xh.reshape(-1, n))
+        db = ones @ rows
     mean = np.full(n, 1.0 / n, dtype=dy.dtype)
     dxh = dy * g
     m1 = dxh @ mean
@@ -137,6 +146,30 @@ def segment_mask(positions: np.ndarray) -> np.ndarray:
     return _additive(hidden)[:, None]
 
 
+TILE = 64
+"""The widest query tile of a causal pass that ``attention`` tiles."""
+TILE_STEP = 16
+"""Query tiles start on multiples of this many rows (see ``attention``)."""
+
+
+def tiles_queries(b: int, t: int, keep_weights: bool) -> bool:
+    """Whether ``attention`` takes ``t`` causal query rows of ``b`` sequences
+    tile by tile (``causal``): one sequence, no weights kept and more than
+    ``2 * TILE`` queries. Taped, packed and shorter passes stay one tile
+    with a ``future`` mask."""
+    return t > 2 * TILE and b == 1 and not keep_weights
+
+
+@functools.cache
+def _triangle(n: int) -> np.ndarray:
+    """The keys-first additive mask of ``n`` queries over their own ``n``
+    positions, read-only: a float32 [n, 1, 1, n] array, -inf at
+    [j, 0, 0, i] when j > i."""
+    tri = _additive(np.tri(n, n, -1, dtype=bool))[:, None, None]
+    tri.flags.writeable = False
+    return tri
+
+
 def _heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     """Token-major rows [b*t, d] (one row may be [d]) as a [b, h, t, hd] view."""
     return a.reshape(b, -1, n_heads, a.shape[-1] // n_heads).transpose(0, 2, 1, 3)
@@ -155,7 +188,7 @@ def _value_heads(v: np.ndarray, b: int, n_heads: int) -> np.ndarray:
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
               future: np.ndarray | None = None, keep_weights: bool = True,
-              ) -> tuple[np.ndarray, np.ndarray | None]:
+              causal: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Scaled dot-product attention of ``b`` sequences of token-major rows.
 
     ``q`` is [b*t, d] (one query row may be [d]). ``k`` and ``v`` each come
@@ -177,12 +210,26 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     only ``s`` long. ``future`` is the additive keys-first mask of
     ``causal_mask`` or ``segment_mask``, built once per pass.
 
+    ``causal`` takes the place of ``future`` for a pass that
+    ``tiles_queries``: the ``t`` query rows of one sequence are its last
+    ``t`` positions, and each sees the keys up to its own. The queries then
+    run in n = ``ceil(t / TILE)`` tiles of nearly equal width, none wider
+    than ``TILE`` and none a lone row. Tile j starts at row
+    ``TILE_STEP * ceil(j * t / (n * TILE_STEP))``, a multiple of the row
+    blocks of BLAS's matrix kernels, so that each score comes out of the
+    same kernel lane as in one tile. A tile scores only the keys up to its
+    last query and masks only its diagonal block, the tile's own positions,
+    with a slice of one cached triangle (``_triangle``); every key before
+    that block is visible to all its rows. The scores one tile computes
+    beyond a tile's keys are masked to exact zeros in its sums, so the
+    tiled context rows equal the one-tile path's bit for bit wherever BLAS
+    takes both products with the same kernels.
+
     A lone query row [d] (a decode step, or the last layer of a cached
-    pass) sees every key and takes the lean lane: one [h, 1, hd] reshape of
+    pass) sees every key and takes a lean lane: one [h, 1, hd] reshape of
     the queries, a ``_constant`` scale of their dtype, [h, 1, s] scores
     reduced along the keys, and one reshape of the [h, 1, hd] context back
-    to [d]. That is ten NumPy calls, since at one row their count, not the
-    arithmetic, sets the cost.
+    to [d].
 
     Returns (context rows shaped like ``q``, weights as a [b, h, t, s]
     view). Without ``keep_weights`` the weights are left unnormalised, the
@@ -212,23 +259,48 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     qt = _heads(q, b, n_heads).transpose(0, 1, 3, 2)
     qt = np.multiply(qt, scale, out=np.empty(qt.shape, dtype=q.dtype))
     kh = _key_heads(k, b, n_heads)
-    scores = np.empty((kh.shape[-2], n_heads, b, qt.shape[-1]), dtype=q.dtype)
+    vh = _value_heads(v, b, n_heads)
+    # heads write their context straight into token-major rows
+    ctx = np.empty(q.shape, dtype=q.dtype)
+    ctxh = _heads(ctx, b, n_heads)
+    if not causal:
+        probs, norm = _attend(qt, kh, vh, future, keep_weights, ctxh)
+        if keep_weights:
+            return ctx, probs
+    else:
+        t, s = qt.shape[-1], kh.shape[-2]
+        n = -(-t // TILE)
+        edges = [-(-t * j // (n * TILE_STEP)) * TILE_STEP for j in range(n)] + [t]
+        diagonal = _triangle(TILE)
+        norm = np.empty((n_heads, b, t), dtype=q.dtype)
+        for first, end in zip(edges, edges[1:]):
+            w, keys = end - first, s - t + end
+            _attend(qt[..., first:end], kh[:, :, :keys], vh[:, :, :keys], diagonal[:w, :, :, :w],
+                    False, ctxh[:, :, first:end], norm[..., first:end])
+    ctxh /= norm.transpose(1, 0, 2)[..., None]
+    return ctx, None
+
+
+def _attend(qt, kh, vh, mask, keep_weights, ctxh, norm=None):
+    """The softmax attention of ``attention`` over one tile of queries:
+    scaled queries ``qt`` [b, h, hd, t], keys ``kh`` and values ``vh``
+    [b, h, s, hd], and an additive keys-first ``mask`` (or None) over the
+    last ``len(mask)`` keys. Writes the context into the [b, h, t, hd] view
+    ``ctxh`` and the weights' sums into ``norm`` [h, b, t] (a new array when
+    None); returns (weights as a [b, h, t, s] view, their sums)."""
+    b, h, _, t = qt.shape
+    scores = np.empty((kh.shape[-2], h, b, t), dtype=qt.dtype)
     np.matmul(kh, qt, out=scores.transpose(2, 1, 0, 3))
-    if future is not None:
-        scores += future
+    if mask is not None:
+        scores[len(scores) - len(mask):] += mask
     scores -= np.maximum.reduce(scores, axis=0)
     np.exp(scores, out=scores)
-    norm = np.add.reduce(scores, axis=0)
+    norm = np.add.reduce(scores, axis=0, out=norm)
     if keep_weights:
         scores /= norm
     probs = scores.transpose(2, 1, 3, 0)
-    # heads write their context straight into token-major rows
-    ctx = np.empty(q.shape, dtype=q.dtype)
-    ctxh = np.matmul(probs, _value_heads(v, b, n_heads), out=_heads(ctx, b, n_heads))
-    if not keep_weights:
-        ctxh /= norm.transpose(1, 0, 2)[..., None]
-        probs = None
-    return ctx, probs
+    np.matmul(probs, vh, out=ctxh)
+    return probs, norm
 
 
 def attention_bwd(dctx: np.ndarray, ctx: np.ndarray, q: np.ndarray, k: np.ndarray,

@@ -35,6 +35,7 @@ from .kernels import (
     layer_norm_bwd,
     layer_norm_fwd,
     segment_mask,
+    tiles_queries,
 )
 from .model import BackboneModel, ExpertSubnetwork, validate_positions
 
@@ -203,14 +204,14 @@ def forward_batch(
     ``DimensionError`` and ids that are not integers in the vocabulary
     ``TokenIdError``, checked once per pass.
 
-    A lone row stays 1-D ([d]) and takes a lean lane through the same loop:
-    a one-token decode step, and the last layer of a cached prefill, cost
-    about 58 NumPy calls per layer, and at one row each call's fixed cost,
-    not the arithmetic, sets the time. Its products are 1-D ``np.dot``
-    calls, about 0.5 us cheaper than ``np.matmul`` at one row (which is the
-    faster of the two, bit for bit alike, at hundreds of rows); the kernels
-    take their lone-row forms (see ``kernels``); and a cached pass writes
-    its value rows straight into the cache.
+    A lone row stays 1-D ([d]) and takes a lean lane through the same loop,
+    since at one row each NumPy call's fixed cost, not the arithmetic, sets
+    the time: a one-token decode step, and the last layer of a cached
+    prefill. Its products are 1-D ``np.dot`` calls, which cost less than
+    ``np.matmul`` at one row (``np.matmul`` is the faster at hundreds of
+    rows, bit for bit alike); the kernels take their lone-row forms (see
+    ``kernels``); and a cached pass writes its value rows straight into the
+    cache.
 
     With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped,
     unpacked row and appends its ``t`` positions at ``len(cache)``: every
@@ -228,7 +229,11 @@ def forward_batch(
     scores out that way (see ``kernels.attention``), and the tape keeps
     their [b, h, t, s] view as the weights. A pass without a tape keeps no
     attention weights: it divides each context row by its weights' sum
-    instead of normalising the weights.
+    instead of normalising the weights. A pass that
+    ``kernels.tiles_queries`` (one unpacked row, no tape, more than
+    ``2 * kernels.TILE`` positions: a long prefill, cached or not) builds no
+    mask at all: attention runs its queries in causal tiles, each masking
+    only its own diagonal block.
     """
     c = backbone.config
     p = backbone.params
@@ -253,8 +258,9 @@ def forward_batch(
         raise SequenceLengthError(f"sequence length {t} exceeds max_seq {c.max_seq}")
     check_token_ids(tokens, c.vocab_size)
     end = start + t
+    tiled = positions is None and tiles_queries(b, t, want_tape)
     if positions is None:
-        future = causal_mask(t, start)
+        future = None if tiled else causal_mask(t, start)
         x = p["embed"][tokens] + p["pos"][start:end]
     else:
         if positions.shape != tokens.shape or not (
@@ -290,7 +296,8 @@ def forward_batch(
                 # last row, which sees them all, goes on to the logits
                 x, h1, future = x[-1], h1[-1], None
         q = dot(h1, wq)
-        merged, probs = attention(q, k, v, b, c.n_heads, future, keep_weights=want_tape)
+        merged, probs = attention(q, k, v, b, c.n_heads, future, keep_weights=want_tape,
+                                 causal=tiled)
         x1 = dot(merged, wo)
         x1 += x
 
@@ -373,7 +380,8 @@ def backward_batch(
         dh += dx_h
     if dhidden is not None:
         dh += dhidden.reshape(hidden.shape)
-    dx, dg, db = layer_norm_bwd(dh, tape["lnfc"])
+    dx, dg, db = layer_norm_bwd(dh, tape["lnfc"],
+                                need("backbone", "ln_f.g") or need("backbone", "ln_f.b"))
     add("backbone", "ln_f.g", dg)
     add("backbone", "ln_f.b", db)
 
@@ -395,7 +403,7 @@ def backward_batch(
         add(comp, w1, dw1)
         if need(comp, b1):
             add(comp, b1, ones @ dpre.reshape(len(ones), -1))
-        dx1_norm, dg2, db2 = layer_norm_bwd(dh2, lt["ln2c"])
+        dx1_norm, dg2, db2 = layer_norm_bwd(dh2, lt["ln2c"], need(comp, ln2g) or need(comp, ln2b))
         add(comp, ln2g, dg2)
         add(comp, ln2b, db2)
         if i == lowest and not lowest_attn:
@@ -412,7 +420,8 @@ def backward_batch(
             dxi, dwi = _mm_back(lt["h1"], p[key], dterm, need("backbone", key))
             add("backbone", key, dwi)
             dh1 = dxi if dh1 is None else np.add(dh1, dxi, out=dh1)
-        dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"])
+        dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"],
+                                            need("backbone", ln1g) or need("backbone", ln1b))
         add("backbone", ln1g, dg1)
         add("backbone", ln1b, db1)
         dx += dx0_norm
@@ -431,8 +440,11 @@ def backward_batch(
 
 
 def forward_base(model: BackboneModel, tokens: list[int]) -> np.ndarray:
-    """Next-token logits [t, vocab] for a single sequence on the base model."""
-    arr = np.asarray([tokens], dtype=np.int64)
+    """Next-token logits [t, vocab] for a single sequence on the base model.
+
+    ``tokens`` are converted as they are, so an id that is not an integer
+    raises ``TokenIdError`` instead of being cast."""
+    arr = np.asarray([tokens])
     logits, _, _ = forward_batch(model, arr)
     return logits[0]
 
@@ -442,7 +454,7 @@ def forward_with_expert(
 ) -> np.ndarray:
     """Logits with the expert's sublayers replacing the backbone feed-forwards
     at the expert's positions."""
-    arr = np.asarray([tokens], dtype=np.int64)
+    arr = np.asarray([tokens])
     logits, _, _ = forward_batch(model, arr, expert=expert)
     return logits[0]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domains as dom
-from .decoding import greedy_decode
+from .decoding import check_count, greedy_decode
 from .errors import GatingError, RoutingError, UnknownExpertError
 from .kernels import NEG_INF
 from .model import BackboneModel, ExpertSubnetwork, copy_params
@@ -361,9 +361,10 @@ def execute_plan(
     Each step scores the current subtask, routes to the winning expert, decodes
     its answer, and carries that answer into the next subtask. STOP (or the
     step cap) ends the loop; if STOP wins immediately the base model answers.
+    A ``max_steps`` that is not an integer >= 1 (1.5, True) raises
+    ``RoutingError``.
     """
-    if max_steps < 1:
-        raise RoutingError("max_steps must be >= 1")
+    max_steps = check_count(max_steps, "max_steps", RoutingError)
     backbone = registry.backbone
     carried: str | None = None
     steps: list[tuple[int, tuple[int, ...]]] = []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccoe.checkpoint import FORMAT_VERSION, MAGIC, _loads, load_checkpoint, save_checkpoint
-from ccoe.errors import CorruptionError, VersionError
+from ccoe.errors import ConfigError, CorruptionError, VersionError
 from ccoe.model import ModelConfig, init_backbone, init_expert
 from ccoe.rng import Rng
 from ccoe.routing import init_planner
@@ -120,6 +120,11 @@ def test_header_that_is_not_a_json_object_raises_corruption(tmp_path, hjson):
     path.write_bytes(frame(hjson, split(path)[1]))
     with pytest.raises(CorruptionError):
         load_checkpoint(path)
+
+
+def test_a_directory_path_raises_a_typed_error_naming_it(tmp_path):
+    with pytest.raises(ConfigError, match=str(tmp_path)):
+        load_checkpoint(tmp_path)
 
 
 def test_version_1_file_raises_version_error(tmp_path):

@@ -35,6 +35,15 @@ def test_route_on_a_cut_backbone_checkpoint_exits_with_corruption_code(tmp_path,
     assert "truncated" in capsys.readouterr().err
 
 
+def test_route_on_a_backbone_path_that_is_a_directory_exits_with_data_error(tmp_path, capsys):
+    (tmp_path / "backbone.ccoe").mkdir()
+    manifest = Manifest(path=tmp_path / "manifest.jsonl", model=TINY.to_dict(),
+                        backbone="backbone.ccoe")
+    manifest.save()
+    assert main(["route", "--manifest", str(manifest.path), "--prompt", "12+3"]) == 2
+    assert "backbone.ccoe: a directory" in capsys.readouterr().err
+
+
 def _backbone_manifest(tmp_path, backbone=None) -> Manifest:
     backbone = backbone or init_backbone(TINY, Rng(5)).freeze()
     save_checkpoint(backbone, tmp_path / "backbone.ccoe")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccoe import kernels
 from ccoe.errors import ConfigError
 from ccoe.kernels import (
     attention,
@@ -22,6 +23,7 @@ from ccoe.kernels import (
     layer_norm_bwd,
     layer_norm_fwd,
     segment_mask,
+    tiles_queries,
 )
 from ccoe.net import _mm_back, sum_rows_by
 from ccoe.rng import Rng
@@ -363,6 +365,37 @@ def test_attention_on_cache_layouts_matches_token_major_rows(t):
             assert got_w.shape == want_w.shape == (1, heads, t, s)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("start", [0, 70])
+@pytest.mark.parametrize("t", [129, 130, 193, 256])
+def test_tiled_attention_equals_the_one_tile_path_bit_for_bit(monkeypatch, t, start, dtype):
+    # t queries at positions start..start+t-1 of one sequence, in both key
+    # and value layouts; 129 and 193 are the lengths where tiles a fixed 64
+    # wide would leave a one-row last tile
+    rng = Rng(34)
+    heads, d, s = 4, 64, start + t
+    q, k, v = (rng.normal((n, d), 2.0).astype(dtype) for n in (t, s, s))
+    layouts = ((k, v), (np.ascontiguousarray(k.T).reshape(heads, -1, s),
+                        v.reshape(s, heads, -1).transpose(1, 0, 2)))
+    assert tiles_queries(1, t, keep_weights=False)
+    for keys, values in layouts:
+        tiled, weights = attention(q, keys, values, 1, heads, causal=True, keep_weights=False)
+        masked = attention(q, keys, values, 1, heads, causal_mask(t, start), keep_weights=False)[0]
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "TILE", 512)  # one tile
+            one = attention(q, keys, values, 1, heads, causal=True, keep_weights=False)[0]
+        assert weights is None and tiled.dtype == dtype
+        assert np.array_equal(tiled, one)
+        assert np.array_equal(tiled, masked)
+
+
+def test_only_long_untaped_passes_over_one_sequence_tile():
+    assert tiles_queries(1, 129, keep_weights=False)
+    assert not tiles_queries(1, 128, keep_weights=False)
+    assert not tiles_queries(1, 200, keep_weights=True)  # a taped pass keeps its weights
+    assert not tiles_queries(2, 200, keep_weights=False)
+
+
 ATTN_BWD_CASES = {
     # b, query rows, keys, heads, mask, keys-major keys
     "causal": (1, 7, 7, 2, causal_mask(7), False),
@@ -431,6 +464,19 @@ def test_layer_norm_bwd_matches_reductions(shape):
     for got, want in zip(layer_norm_bwd(dy, cache), _layer_norm_bwd_by_reductions(dy, cache)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_bwd_of_a_frozen_norm_gives_the_same_dx(dtype):
+    rng = Rng(16)
+    x = rng.normal((3, 17, 64), 3.0).astype(dtype)
+    g, b = rng.normal((64,)).astype(dtype), rng.normal((64,)).astype(dtype)
+    dy = rng.normal(x.shape).astype(dtype)
+    cache = layer_norm_fwd(x, g, b)[1]
+    dx, dg, db = layer_norm_bwd(dy, cache)
+    frozen_dx, no_dg, no_db = layer_norm_bwd(dy, cache, need_dparams=False)
+    assert no_dg is None and no_db is None and dg is not None and db is not None
+    assert np.array_equal(frozen_dx, dx)
 
 
 @pytest.mark.parametrize("n", [9, 260])

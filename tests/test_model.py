@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccoe import decoding
+from ccoe import decoding, kernels, net
 from ccoe.decoding import KvCache, decode_step, greedy_decode
 from ccoe.errors import (
     ConfigError,
@@ -18,6 +18,7 @@ from ccoe.errors import (
     SequenceLengthError,
     TokenIdError,
 )
+from ccoe.kernels import causal_mask
 from ccoe.model import (
     BackboneModel,
     ModelConfig,
@@ -132,6 +133,12 @@ def test_forward_rejects_a_malformed_token_batch(tiny_model, shape):
 def test_forward_rejects_float_token_ids(tiny_model):
     with pytest.raises(TokenIdError):
         forward_batch(tiny_model, np.asarray([[257.0, 1.0, 2.0]]))
+    # a float id in a list is not truncated to an integer one
+    with pytest.raises(TokenIdError):
+        forward_base(tiny_model, [257, 2.7])
+    expert = init_expert(TINY, 0, "x", (1,), Rng(7))
+    with pytest.raises(TokenIdError):
+        forward_with_expert(tiny_model, expert, [257, 2.7])
 
 
 def test_forward_golden_regression(tiny_model):
@@ -286,6 +293,24 @@ def test_decode_step_rejects_a_token_that_is_not_an_integer(tiny_model, bad):
     with pytest.raises(TokenIdError):
         decode_step(tiny_model, None, bad, cache)
     assert len(cache) == 1
+
+
+@pytest.mark.parametrize("prompt", [[257, 2.7], "ab", [257, None]])
+def test_greedy_decode_rejects_prompt_ids_that_are_not_integers(tiny_model, prompt):
+    # [257, 2.7] used to decode as [257, 2]
+    for use_cache in (True, False):
+        with pytest.raises(TokenIdError):
+            greedy_decode(tiny_model, None, prompt, 2, use_cache=use_cache)
+
+
+def test_greedy_decode_takes_a_numpy_prompt_like_a_list(tiny_model):
+    prompt = [257, 50, 60, 7]
+    want = greedy_decode(tiny_model, None, prompt, 5, stop_token=None)
+    for dtype in (np.int64, np.int32, np.uint16):
+        assert greedy_decode(tiny_model, None, np.asarray(prompt, dtype=dtype), 5,
+                             stop_token=None) == want
+    with pytest.raises(SequenceLengthError):
+        greedy_decode(tiny_model, None, np.asarray([], dtype=np.int64), 5)
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
@@ -467,7 +492,9 @@ def test_long_prefill_matches_per_token_decode_and_the_uncached_last_row(
 
 
 @settings(deadline=None, max_examples=4)
-@given(length=st.integers(180, 210), seed=st.integers(0, 2**16))
+@given(length=st.integers(130, 250), seed=st.integers(0, 2**16))
+@example(length=130, seed=0)
+@example(length=250, seed=1)
 def test_long_prompt_cached_greedy_equals_uncached_in_float32(
         mid_model, mid_expert, length, seed):
     prompt = _long_prompt(length, seed)
@@ -489,3 +516,60 @@ def test_short_prompt_cached_greedy_equals_uncached_in_float32(
         assert len(cached) == 24
         assert cached == greedy_decode(mid_model, expert, prompt, 24, use_cache=False,
                                        stop_token=None)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [129, 193])
+def test_tiled_prefill_equals_the_one_tile_pass_bit_for_bit(
+        mid_model, mid_expert, monkeypatch, length, dtype):
+    model, expert = deep_copy_backbone(mid_model), deep_copy_expert(mid_expert)
+    if dtype is np.float64:
+        model, expert = _float64(model), _float64(expert)
+    tokens = np.asarray([_long_prompt(length, 9)])
+
+    def passes():
+        cache = KvCache(model, length)
+        cached = forward_batch(model, tokens, expert=expert, cache=cache)[:2]
+        return cache, cached, forward_batch(model, tokens, expert=expert)[:2]
+
+    tiled_cache, *tiled = passes()
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "TILE", 512)  # every pass is one tile, with its causal mask
+        one_cache, *one = passes()
+    for i in range(MID.n_layers):
+        assert np.array_equal(tiled_cache.k[i], one_cache.k[i])
+        assert np.array_equal(tiled_cache.v[i], one_cache.v[i])
+    for got, want in zip(tiled, one):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_long_chunked_prefill_matches_a_one_shot_prefill(mid_model, mid_expert):
+    # the second chunk is 190 queries after 60 cached positions: a tiled pass with start > 0
+    model = _float64(deep_copy_backbone(mid_model))
+    expert = _float64(deep_copy_expert(mid_expert))
+    prompt = np.asarray([_long_prompt(250, 10)])
+    whole = KvCache(model, 250)
+    whole_logits, _, _ = forward_batch(model, prompt, expert=expert, cache=whole)
+    chunked = KvCache(model, 250)
+    forward_batch(model, prompt[:, :60], expert=expert, cache=chunked)
+    chunk_logits, _, _ = forward_batch(model, prompt[:, 60:], expert=expert, cache=chunked)
+    assert len(chunked) == len(whole) == 250
+    for i in range(MID.n_layers):
+        assert np.abs(chunked.k[i] - whole.k[i]).max() < 1e-12
+        assert np.abs(chunked.v[i] - whole.v[i]).max() < 1e-12
+    assert np.abs(chunk_logits - whole_logits).max() < 1e-12
+
+
+def test_long_cached_prefill_builds_no_causal_mask(mid_model, monkeypatch):
+    built = []
+
+    def spy(t, start=0):
+        built.append((t, start))
+        return causal_mask(t, start)
+
+    monkeypatch.setattr(net, "causal_mask", spy)
+    forward_batch(mid_model, np.asarray([_long_prompt(200, 11)]), cache=KvCache(mid_model, 200))
+    assert built == []
+    # a short prefill still masks its one tile with a full mask
+    forward_batch(mid_model, np.asarray([_long_prompt(40, 11)]), cache=KvCache(mid_model, 40))
+    assert built == [(40, 0)]

@@ -63,6 +63,13 @@ def test_execute_plan_rejects_a_zero_step_cap(registry, tied_planner):
         execute_plan("abc", tied_planner, registry, max_steps=0)
 
 
+@pytest.mark.parametrize("max_steps", [1.5, True])
+def test_execute_plan_rejects_a_step_cap_that_is_not_an_integer(registry, tied_planner, max_steps):
+    # 1.5 used to raise a bare TypeError, True to run one step
+    with pytest.raises(RoutingError):
+        execute_plan("abc", tied_planner, registry, max_steps=max_steps)
+
+
 def test_tied_scores_pick_the_lowest_id_until_the_step_cap(registry, tied_planner):
     _text, path = execute_plan("abc", tied_planner, registry, max_steps=3, max_new=4)
     assert len(path.steps) == 3  # STOP is the last slot, so it never wins a tie
