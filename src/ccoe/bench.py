@@ -27,18 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import domains as dom
-from .decoding import greedy_decode
+from .decoding import check_count, greedy_decode
 from .errors import ConfigError, WorkloadError
 from .lifecycle import ExpertRegistry
-from .model import (
-    BackboneModel,
-    ExpertSubnetwork,
-    init_expert,
-    param_bytes,
-)
+from .model import BackboneModel, init_expert, param_bytes
 from .rng import Rng
 from .routing import gate
-from .tokenizer import EOS, decode
 from .training import TrainConfig, evaluate_exact_match, train_expert
 
 STRATEGY_NAMES = ("GL", "FB", "FE", "MD", "BE")
@@ -72,13 +66,6 @@ class Workload:
 
     items: tuple[tuple[str, str], ...]
     repetitions: int = 1
-
-    def switch_count(self) -> int:
-        """Domain changes across the full repeated stream."""
-        stream = list(self.items) * self.repetitions
-        return sum(1 for a, b in zip(stream, stream[1:]) if a[0] != b[0]) + (
-            1 if stream else 0
-        )  # first query loads/routes too
 
 
 @dataclass(frozen=True)
@@ -131,53 +118,64 @@ def _decode_query(model: BackboneModel, expert, prompt: str, max_new: int) -> in
     return len(out)
 
 
-def run_ccoe(registry: ExpertRegistry, workload: Workload, max_new: int = 12) -> BenchReport:
-    """Serve the workload from the registry via rule-based gating."""
-    for domain, _ in workload.items:
-        if domain not in registry.mapping.rows:
-            raise WorkloadError(f"registry cannot serve domain {domain!r}")
-    stream = list(workload.items)
-    peak = registry.total_bytes()  # everything stays resident
+def _serve(system: str, workload: Workload, switch, max_new: int, peak) -> BenchReport:
+    """Serve ``workload`` once untimed (the warm-up), then
+    ``workload.repetitions`` times timed, and report the timed passes.
 
-    def serve(items) -> tuple[int, float, int, float]:
+    At each pass's first query and at every change of domain,
+    ``switch(domain)`` returns (model, experts): the model to decode on and
+    the experts that answer each query in turn (None: the model alone). Its
+    time counts as switch overhead. ``peak()`` gives the resident parameter
+    bytes' peak; it is read after the passes. A repetition count that is not
+    an integer >= 1 raises ``WorkloadError``.
+    """
+    stream = list(workload.items)
+
+    def serve() -> tuple[int, float, int, float]:
         tokens = 0
         switch_time = 0.0
         switches = 0
         prev = None
         t0 = time.perf_counter()
-        for domain, prompt in items:
+        for domain, prompt in stream:
             if domain != prev:
                 s0 = time.perf_counter()
-                path = gate(registry.mapping, registry, [(domain, prompt)])[0]
-                experts = [registry.experts[eid] for eid, _ in path.steps] or [None]
+                model, experts = switch(domain)
                 switch_time += time.perf_counter() - s0
                 switches += 1
                 prev = domain
             for expert in experts:
-                tokens += _decode_query(registry.backbone, expert, prompt, max_new)
+                tokens += _decode_query(model, expert, prompt, max_new)
         return tokens, switch_time, switches, time.perf_counter() - t0
 
-    serve(stream)  # warmup
-    total_tokens = 0
-    total_wall = 0.0
-    total_switch = 0.0
-    switches = 0
-    for _ in range(workload.repetitions):
-        tok, sw_t, sw_n, wall = serve(stream)
-        total_tokens += tok
-        total_wall += wall
-        total_switch += sw_t
-        switches += sw_n
+    repetitions = check_count(workload.repetitions, "workload repetitions", WorkloadError)
+    serve()  # warmup
+    runs = [serve() for _ in range(repetitions)]
+    tokens, switch_time, switches, wall = (sum(col) for col in zip(*runs))
     return BenchReport(
-        system="ccoe",
-        resident_param_bytes_peak=peak,
-        tokens_per_second=total_tokens / total_wall,
+        system=system,
+        resident_param_bytes_peak=peak(),
+        tokens_per_second=tokens / wall,
         switch_count=switches,
-        per_switch_overhead_seconds=total_switch / max(switches, 1),
-        wall_time_seconds=total_wall,
-        generated_tokens=total_tokens,
-        decode_seconds=total_wall - total_switch,
+        per_switch_overhead_seconds=switch_time / max(switches, 1),
+        wall_time_seconds=wall,
+        generated_tokens=tokens,
+        decode_seconds=wall - switch_time,
     )
+
+
+def run_ccoe(registry: ExpertRegistry, workload: Workload, max_new: int = 12) -> BenchReport:
+    """Serve the workload from the registry via rule-based gating."""
+    for domain, _ in workload.items:
+        if domain not in registry.mapping.rows:
+            raise WorkloadError(f"registry cannot serve domain {domain!r}")
+
+    def switch(domain: str):
+        path = gate(registry.mapping, registry, [(domain, "")])[0]
+        return registry.backbone, [registry.experts[eid] for eid, _ in path.steps] or [None]
+
+    peak = registry.total_bytes()  # everything stays resident
+    return _serve("ccoe", workload, switch, max_new, lambda: peak)
 
 
 def run_mdme_baseline(
@@ -212,66 +210,27 @@ def run_mdme_baseline(
     def resident_bytes() -> int:
         return sum(bytes_per[d] for d in resident)
 
-    def ensure_loaded(domain: str) -> tuple[BackboneModel, float]:
+    def ensure_loaded(domain: str) -> BackboneModel:
         nonlocal peak
         if domain in resident:
             resident[domain] = resident.pop(domain)  # LRU bump
-            return resident[domain], 0.0
-        t0 = time.perf_counter()
+            return resident[domain]
         if not unconstrained:
             while resident and resident_bytes() + bytes_per[domain] > resident_budget_bytes:
                 resident.pop(next(iter(resident)))
         resident[domain] = load_checkpoint(stores[domain])
-        dt = time.perf_counter() - t0
         peak = max(peak, resident_bytes())
-        return resident[domain], dt
+        return resident[domain]
 
     if unconstrained:
         for d in models:
             ensure_loaded(d)
 
-    stream = list(workload.items)
-
-    def serve(items):
-        tokens = 0
-        switch_time = 0.0
-        switches = 0
-        prev = None
-        t0 = time.perf_counter()
-        for domain, prompt in items:
-            if domain != prev:
-                switches += 1
-                prev = domain
-                model, load_dt = ensure_loaded(domain)
-                switch_time += load_dt
-            else:
-                model, _ = ensure_loaded(domain)
-            tokens += _decode_query(model, None, prompt, max_new)
-        return tokens, switch_time, switches, time.perf_counter() - t0
-
     try:
-        serve(stream)  # warmup
-        total_tokens = 0
-        total_wall = total_switch = 0.0
-        switches = 0
-        for _ in range(workload.repetitions):
-            tok, sw_t, sw_n, wall = serve(stream)
-            total_tokens += tok
-            total_wall += wall
-            total_switch += sw_t
-            switches += sw_n
+        return _serve("mdme" if unconstrained else "mdme-budget", workload,
+                      lambda domain: (ensure_loaded(domain), [None]), max_new, lambda: peak)
     finally:
         store_dir.cleanup()
-    return BenchReport(
-        system="mdme" if unconstrained else "mdme-budget",
-        resident_param_bytes_peak=peak,
-        tokens_per_second=total_tokens / total_wall,
-        switch_count=switches,
-        per_switch_overhead_seconds=total_switch / max(switches, 1),
-        wall_time_seconds=total_wall,
-        generated_tokens=total_tokens,
-        decode_seconds=total_wall - total_switch,
-    )
 
 
 # --- adapter baseline --------------------------------------------------------
@@ -346,45 +305,9 @@ def run_adapter_baseline(
         + sum(a.bytes() for a in adapters.values())
         + overlay_bytes(backbone.config)
     )
-    stream = list(workload.items)
-
-    def serve(items):
-        tokens = 0
-        switch_time = 0.0
-        switches = 0
-        prev = None
-        effective = None
-        t0 = time.perf_counter()
-        for domain, prompt in items:
-            if domain != prev:
-                s0 = time.perf_counter()
-                effective = materialize_adapter(backbone, adapters[domain])
-                switch_time += time.perf_counter() - s0
-                switches += 1
-                prev = domain
-            tokens += _decode_query(effective, None, prompt, max_new)
-        return tokens, switch_time, switches, time.perf_counter() - t0
-
-    serve(stream)  # warmup
-    total_tokens = 0
-    total_wall = total_switch = 0.0
-    switches = 0
-    for _ in range(workload.repetitions):
-        tok, sw_t, sw_n, wall = serve(stream)
-        total_tokens += tok
-        total_wall += wall
-        total_switch += sw_t
-        switches += sw_n
-    return BenchReport(
-        system="adapter",
-        resident_param_bytes_peak=peak,
-        tokens_per_second=total_tokens / total_wall,
-        switch_count=switches,
-        per_switch_overhead_seconds=total_switch / max(switches, 1),
-        wall_time_seconds=total_wall,
-        generated_tokens=total_tokens,
-        decode_seconds=total_wall - total_switch,
-    )
+    return _serve("adapter", workload,
+                  lambda domain: (materialize_adapter(backbone, adapters[domain]), [None]),
+                  max_new, lambda: peak)
 
 
 # --- insertion-strategy ablation ----------------------------------------------

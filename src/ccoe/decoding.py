@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CcoeError, SequenceLengthError
 from .model import BackboneModel, ExpertSubnetwork
-from .net import check_token_ids, forward_batch
+from .net import check_token_ids, forward_batch, token_row
 from .tokenizer import EOS
 
 
@@ -102,8 +102,9 @@ def greedy_decode(
     raise ``NumericError`` on non-finite logits.
 
     ``prompt`` is a list or 1-D array of ids. It is converted once, without
-    a cast: an id that is not an integer in the vocabulary (a float, a str)
-    raises ``TokenIdError``, and an empty prompt ``SequenceLengthError``.
+    a cast (``net.token_row``): an id that is not an integer in the
+    vocabulary (a float, a str, a bool) raises ``TokenIdError``, and an
+    empty prompt ``SequenceLengthError``.
     """
     if len(prompt) == 0:
         raise SequenceLengthError("prompt must be nonempty")
@@ -112,7 +113,7 @@ def greedy_decode(
         raise SequenceLengthError(
             f"prompt ({len(prompt)}) + max_new ({max_new}) exceeds max_seq {model.config.max_seq}"
         )
-    tokens = np.asarray(prompt)[None]
+    tokens = token_row(prompt)
     check_token_ids(tokens, model.config.vocab_size, "prompt")
     # the last generated token is never fed back, so it needs no cache position
     cache = KvCache(model, len(prompt) + max_new - 1) if use_cache else None

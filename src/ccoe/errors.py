@@ -71,7 +71,8 @@ class DegenerateBatchError(CcoeError):
 
 
 class WorkloadError(CcoeError):
-    """Benchmark workload references a domain the system cannot serve."""
+    """Benchmark workload the system cannot serve: a domain it has no model
+    for, or a repetition count below one."""
 
 
 class CorruptionError(CcoeError):

@@ -3,12 +3,14 @@
 The layer norm, causal scaled dot-product attention and the tanh-form GELU,
 each with the gradient its backward pass needs; ``net.forward_batch`` and
 ``net.backward_batch`` call them for training, planner scoring, prefill and
-decode alike. ``layer_norm`` is the forward layer norm with its eps and
-finiteness checks, which the oracle tests hold to a float64 reference.
+decode alike, and the planner's scorer (``routing.score_batch``) runs its
+cross-attention through ``attention`` and ``attention_bwd`` with one head.
+``layer_norm`` is the forward layer norm with its eps and finiteness checks,
+which the oracle tests hold to a float64 reference.
 Attention over more than one query row lays its scores out keys-first,
 [keys, heads, rows, queries], so that the softmax's passes over the short key
 axis run over whole contiguous slices; the masks (``causal_mask``,
-``segment_mask``) come in that layout.
+``segment_mask``, ``key_mask``) come in that layout.
 
 A long causal pass over one sequence without a tape (``tiles_queries``: more
 than ``2 * TILE`` queries) runs its queries in tiles at most ``TILE`` wide.
@@ -146,6 +148,13 @@ def segment_mask(positions: np.ndarray) -> np.ndarray:
     return _additive(hidden)[:, None]
 
 
+def key_mask(hidden: np.ndarray) -> np.ndarray:
+    """Keys-first additive mask that hides the same keys from every query of
+    a row: ``hidden`` [b, s] is True where row r's queries may not see key
+    j; returns a float32 [s, 1, b, 1] array, -inf there and 0 elsewhere."""
+    return _additive(hidden.T)[:, None, :, None]
+
+
 TILE = 64
 """The widest query tile of a causal pass that ``attention`` tiles."""
 TILE_STEP = 16
@@ -208,7 +217,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     and the mask, the max, the exp and the sum over keys are elementwise
     passes over whole [h, b, t] slices instead of reductions along rows
     only ``s`` long. ``future`` is the additive keys-first mask of
-    ``causal_mask`` or ``segment_mask``, built once per pass.
+    ``causal_mask``, ``segment_mask`` or ``key_mask``, built once per pass.
 
     ``causal`` takes the place of ``future`` for a pass that
     ``tiles_queries``: the ``t`` query rows of one sequence are its last

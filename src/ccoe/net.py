@@ -58,10 +58,7 @@ def sum_rows_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     Up to 64 groups (positions, packed rows) this is one product with a
     one-hot matrix, which does n multiply-adds per value. For more (token ids
     over the vocabulary) it is one ``np.bincount`` per column, which sums in
-    float64 and allocates nothing larger than a column; a stable sort with
-    ``np.add.reduceat`` was as fast, but its gathered copy of ``values``
-    raised the peak resident memory of pretraining. Either is at least
-    twice as fast as ``np.add.at`` at these sizes.
+    float64 and allocates nothing larger than a column.
     """
     rows = values.reshape(index.size, -1)
     if n <= 64:
@@ -88,6 +85,15 @@ def check_token_ids(ids: np.ndarray, vocab_size: int, what: str = "token") -> No
     if ids.size and np.maximum.reduce(ids.astype(np.uint64, copy=False), axis=None) >= vocab_size:
         bad = int(ids[(ids < 0) | (ids >= vocab_size)].flat[0])
         raise TokenIdError(f"{what} id {bad} outside vocabulary [0, {vocab_size})")
+
+
+def token_row(tokens) -> np.ndarray:
+    """A list, tuple or 1-D array of ids as a [1, t] batch, converted without
+    a cast. A ``bool`` in a list or tuple raises ``TokenIdError``: NumPy would
+    take it for the id 0 or 1."""
+    if isinstance(tokens, (list, tuple)) and bool in map(type, tokens):
+        raise TokenIdError("token ids must be integers, got a bool")
+    return np.asarray(tokens)[None]
 
 
 ATTN_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo")
@@ -442,10 +448,9 @@ def backward_batch(
 def forward_base(model: BackboneModel, tokens: list[int]) -> np.ndarray:
     """Next-token logits [t, vocab] for a single sequence on the base model.
 
-    ``tokens`` are converted as they are, so an id that is not an integer
-    raises ``TokenIdError`` instead of being cast."""
-    arr = np.asarray([tokens])
-    logits, _, _ = forward_batch(model, arr)
+    ``tokens`` are converted as they are (``token_row``), so an id that is
+    not an integer raises ``TokenIdError`` instead of being cast."""
+    logits, _, _ = forward_batch(model, token_row(tokens))
     return logits[0]
 
 
@@ -454,7 +459,6 @@ def forward_with_expert(
 ) -> np.ndarray:
     """Logits with the expert's sublayers replacing the backbone feed-forwards
     at the expert's positions."""
-    arr = np.asarray([tokens])
-    logits, _, _ = forward_batch(model, arr, expert=expert)
+    logits, _, _ = forward_batch(model, token_row(tokens), expert=expert)
     return logits[0]
 

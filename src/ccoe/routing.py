@@ -9,10 +9,11 @@ model".
 Planner routing scores every registered expert (plus a reserved STOP slot) for
 the current subtask: the subtask runs through the backbone with the planner's
 own expert spliced in, and each candidate's learned indicator vector
-cross-attends (single head, keys = values = final hidden states) into a scalar
-match score via a linear head. Execution is iterative: the winning expert
-decodes the subtask, its output is carried into the next subtask's context,
-and the loop ends on STOP or the step cap.
+cross-attends over the subtask's final hidden states into a scalar match score
+via a linear head. That cross-attention is the block's own
+``kernels.attention`` (and ``attention_bwd``) with one head. Execution is
+iterative: the winning expert decodes the subtask, its output is carried into
+the next subtask's context, and the loop ends on STOP or the step cap.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import domains as dom
 from .decoding import check_count, greedy_decode
 from .errors import GatingError, RoutingError, UnknownExpertError
-from .kernels import NEG_INF
+from .kernels import attention, attention_bwd, key_mask
 from .model import BackboneModel, ExpertSubnetwork, copy_params
 from .net import GradKey, backward_batch, forward_batch, pack, sum_rows_by
 from .rng import Rng
@@ -219,8 +220,10 @@ def score_batch(
     The last slot of each row is STOP, and rows come back in input order.
     The subtasks are packed into rows (``net.pack``) for one
     ``forward_batch`` pass with segment positions, so no subtask attends
-    into another, and each indicator cross-attends only over its own
-    subtask's keys: each subtask scores as it would alone. With
+    into another. The scorer's cross-attention is ``kernels.attention`` with
+    one head over ``b`` sequences: each subtask's n + 1 indicator queries
+    attend over its packed row, with a ``key_mask`` hiding every key outside
+    its own segment, so each subtask scores as it would alone. With
     ``want_tape`` also returns everything ``score_backward`` needs.
     """
     if not token_lists or not all(token_lists):
@@ -235,23 +238,17 @@ def score_batch(
     col = np.arange(arr.shape[1])
     outside = (col < start[:, None]) | (col >= (start + lengths)[:, None])  # [b, t]
     s = planner.scorer
-    scale = 1.0 / math.sqrt(h.shape[-1])
-    q = planner.indicators @ s["wq"]  # [n+1, d]
-    k = (h @ s["wk"])[row]  # [b, t, d]: each subtask's packed row
-    v = (h @ s["wv"])[row]
-    att = np.matmul(q, k.transpose(0, 2, 1))  # [b, n+1, t]
-    att *= scale
-    np.copyto(att, NEG_INF, where=outside[:, None, :])
-    att -= att.max(axis=-1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
-    ctx = att @ v  # [b, n+1, d]
+    b, d = len(row), h.shape[-1]
+    q = np.tile(planner.indicators @ s["wq"], (b, 1))  # [b * (n+1), d]
+    k = (h @ s["wk"])[row].reshape(-1, d)  # [b * t, d]: each subtask's packed row
+    v = (h @ s["wv"])[row].reshape(-1, d)
+    ctx, att = attention(q, k, v, b, 1, key_mask(outside), keep_weights=want_tape)
     out = ctx @ s["wo"]
-    scores = out @ s["fw"] + s["fb"][0]
+    scores = (out @ s["fw"] + s["fb"][0]).reshape(b, -1)
     if not want_tape:
         return scores
     score_tape = {"h": h, "row": row, "q": q, "k": k, "v": v, "att": att, "ctx": ctx,
-                  "out": out, "stack_tape": tape, "scale": scale}
+                  "out": out, "stack_tape": tape}
     return scores, score_tape
 
 
@@ -283,17 +280,15 @@ def score_backward(
     """Backward through the scorer and the planner-expert stack.
 
     ``dscores`` is [b, n_experts + 1] for a ``score_batch`` tape; a 1-D
-    ``dscores`` is one row. The gradients are summed over the rows. Each
+    ``dscores`` is one row. The gradients are summed over the rows. The
+    cross-attention's backward is ``kernels.attention_bwd`` with one head;
+    the indicator queries' gradient is summed over the subtasks. Each
     subtask's key and value gradients are zero outside its segment, so
     adding them into the packed rows gives every position its own.
     """
     s = planner.scorer
-    w = planner.indicators
-    h = score_tape["h"]
-    q, k, v = score_tape["q"], score_tape["k"], score_tape["v"]
-    att, ctx, out = score_tape["att"], score_tape["ctx"], score_tape["out"]
-    scale = score_tape["scale"]
-    dscores = np.asarray(dscores).reshape(att.shape[:2])
+    h, row, ctx, out = score_tape["h"], score_tape["row"], score_tape["ctx"], score_tape["out"]
+    dscores = np.asarray(dscores).reshape(-1)
 
     grads: dict[GradKey, np.ndarray] = {}
 
@@ -301,25 +296,21 @@ def score_backward(
         if key in trainable:
             grads[key] = grads.get(key, 0) + val
 
-    def flat(a):
-        return a.reshape(-1, a.shape[-1])
-
-    add(("planner", "scorer.fw"), flat(out).T @ dscores.reshape(-1))
+    add(("planner", "scorer.fw"), out.T @ dscores)
     add(("planner", "scorer.fb"), np.asarray([dscores.sum()], dtype=out.dtype))
-    dout = dscores[..., None] * s["fw"]
-    add(("planner", "scorer.wo"), flat(ctx).T @ flat(dout))
-    dctx = dout @ s["wo"].T
-    datt = dctx @ v.transpose(0, 2, 1)
-    dv = att.transpose(0, 2, 1) @ dctx
-    datt = att * (datt - (datt * att).sum(axis=-1, keepdims=True))  # 0 outside the subtask
-    dq = (datt @ k).sum(axis=0) * scale
-    dk = datt.transpose(0, 2, 1) @ q * scale
+    dout = dscores[:, None] * s["fw"]
+    add(("planner", "scorer.wo"), ctx.T @ dout)
+    dq, dk, dv = attention_bwd(dout @ s["wo"].T, ctx, score_tape["q"], score_tape["k"],
+                               score_tape["v"], score_tape["att"], 1)
+    per_subtask = (len(row), -1, h.shape[-1])
+    dq = dq.reshape(per_subtask).sum(axis=0)
     add(("planner", "indicators"), dq @ s["wq"].T)
-    add(("planner", "scorer.wq"), w.T @ dq)
-    dk_rows = sum_rows_by(score_tape["row"], dk, len(h))
-    dv_rows = sum_rows_by(score_tape["row"], dv, len(h))
-    add(("planner", "scorer.wk"), flat(h).T @ flat(dk_rows))
-    add(("planner", "scorer.wv"), flat(h).T @ flat(dv_rows))
+    add(("planner", "scorer.wq"), planner.indicators.T @ dq)
+    dk_rows = sum_rows_by(row, dk.reshape(per_subtask), len(h))
+    dv_rows = sum_rows_by(row, dv.reshape(per_subtask), len(h))
+    flat_h = h.reshape(-1, h.shape[-1])
+    add(("planner", "scorer.wk"), flat_h.T @ dk_rows.reshape(flat_h.shape))
+    add(("planner", "scorer.wv"), flat_h.T @ dv_rows.reshape(flat_h.shape))
     dh = dk_rows @ s["wk"].T + dv_rows @ s["wv"].T
     stack = backward_batch(
         backbone,

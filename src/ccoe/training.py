@@ -23,12 +23,7 @@ from .errors import (
     DivergenceError,
     NumericError,
 )
-from .model import (
-    BackboneModel,
-    ExpertSubnetwork,
-    copy_params,
-    init_backbone,
-)
+from .model import BackboneModel, ExpertSubnetwork, init_backbone
 from .net import GradKey, backward_batch, check_token_ids, forward_batch, pack
 from .rng import Rng
 from .tokenizer import EOS, PAD, decode
@@ -212,28 +207,25 @@ def loss_and_grads(
 
 
 def _run_training(
-    backbone: BackboneModel,
-    expert: ExpertSubnetwork | None,
-    trainable_params: dict[GradKey, np.ndarray],
-    sample_batch,
-    cfg: TrainConfig,
+    params: dict[GradKey, np.ndarray], loss_at, cfg: TrainConfig
 ) -> list[LossRecord]:
-    """Adam over ``trainable_params`` for ``cfg.steps`` batches.
+    """Adam over ``params`` for ``cfg.steps`` steps.
 
-    A step whose loss is non-finite, or whose forward or backward pass raises
-    ``NumericError``, aborts the run with ``DivergenceError`` carrying the
-    latest snapshot (taken every ``cfg.snapshot_every`` steps).
+    ``loss_at(step, trainable)`` draws step ``step``'s batch and returns its
+    (loss, accuracy, gradients), the gradients restricted to the key set
+    ``trainable``. A step whose loss is non-finite, or whose ``loss_at``
+    raises ``NumericError``, aborts the run with ``DivergenceError`` carrying
+    the latest snapshot of ``params`` (taken every ``cfg.snapshot_every``
+    steps).
     """
     cfg.validate()
-    opt = Adam(trainable_params, cfg)
-    trainable = set(trainable_params)
+    opt = Adam(params, cfg)
+    trainable = set(params)
     curve: list[LossRecord] = []
-    snapshot = {k: v.copy() for k, v in trainable_params.items()}
+    snapshot = {k: v.copy() for k, v in params.items()}
     for step in range(cfg.steps):
-        tokens, targets, mask, positions = batchify(sample_batch(step))
         try:
-            loss, acc, grads = loss_and_grads(backbone, expert, tokens, targets, mask, trainable,
-                                              positions)
+            loss, acc, grads = loss_at(step, trainable)
         except NumericError as exc:
             raise DivergenceError(f"{exc} at step {step}", last_good=snapshot) from exc
         if not math.isfinite(loss):
@@ -244,8 +236,19 @@ def _run_training(
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             curve.append(LossRecord(step=step, loss=loss, token_accuracy=acc))
         if cfg.snapshot_every and step % cfg.snapshot_every == 0:
-            snapshot = {k: v.copy() for k, v in trainable_params.items()}
+            snapshot = {k: v.copy() for k, v in params.items()}
     return curve
+
+
+def _example_loss(backbone: BackboneModel, expert: ExpertSubnetwork | None, sample_batch):
+    """A ``loss_at`` for ``_run_training`` over next-token examples: packs
+    ``sample_batch(step)`` with ``batchify`` and runs ``loss_and_grads``."""
+
+    def loss_at(step: int, trainable: set[GradKey]):
+        tokens, targets, mask, positions = batchify(sample_batch(step))
+        return loss_and_grads(backbone, expert, tokens, targets, mask, trainable, positions)
+
+    return loss_at
 
 
 def pretrain_backbone(
@@ -266,7 +269,7 @@ def pretrain_backbone(
         ]
 
     trainable = {("backbone", k): v for k, v in model.params.items()}
-    curve = _run_training(model, None, trainable, sample_batch, cfg)
+    curve = _run_training(trainable, _example_loss(model, None, sample_batch), cfg)
     model.freeze()
     return model, curve
 
@@ -297,7 +300,7 @@ def train_expert(
         return batch
 
     trainable = {("expert", k): v for k, v in expert.params.items()}
-    curve = _run_training(backbone, expert, trainable, sample_batch, cfg)
+    curve = _run_training(trainable, _example_loss(backbone, expert, sample_batch), cfg)
     return ExpertTrainResult(expert=expert, curve=curve, seen_payloads=seen)
 
 
@@ -389,51 +392,30 @@ def train_planner(
     """Per-step cross-entropy over expert slots (STOP included); trains the
     indicator vectors, scorer, and the planner's own sublayers jointly.
 
-    Divergence aborts with ``DivergenceError`` carrying the latest snapshot of
-    the trainable parameters, as in ``_run_training``.
+    Each step scores a batch of subtasks with ``score_batch`` and takes the
+    loss with ``nll_loss``, each subtask one position whose logits are its
+    slot scores. Divergence aborts with ``DivergenceError`` carrying the
+    latest snapshot of the trainable parameters, as in ``_run_training``.
     """
     from .routing import score_backward, score_batch
 
-    cfg.validate()
     if not backbone.frozen:
         raise ConfigError("planner training requires a frozen backbone")
     samples = [(s.tokens, _label_slot(planner, s.label)) for t in tasks for s in t.steps]
     if not samples:
         raise DatasetError("empty planner dataset")
     rng = Rng(cfg.seed).child("planner-order")
-    params = planner.trainable_parameters()
-    opt = Adam(params, cfg)
-    trainable = set(params)
-    curve: list[LossRecord] = []
-    snapshot = {k: v.copy() for k, v in params.items()}
-    for step in range(cfg.steps):
+
+    def loss_at(step: int, trainable: set[GradKey]):
         batch = [samples[int(rng.integers(0, len(samples)))] for _ in range(cfg.batch_size)]
-        rows = np.arange(len(batch))
-        slots = np.asarray([slot for _, slot in batch])
-        try:
-            scores, tape = score_batch(planner, backbone, [t for t, _ in batch], want_tape=True)
-        except NumericError as exc:
-            raise DivergenceError(
-                f"{exc} in planner step {step}", last_good=snapshot
-            ) from exc
-        ez = np.exp(scores - scores.max(axis=1, keepdims=True))
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        loss = -float(np.log(np.maximum(probs[rows, slots], LN_EPS_DENOM)).mean())
-        hits = int((np.argmax(scores, axis=1) == slots).sum())
-        dscores = probs
-        dscores[rows, slots] -= 1.0
-        dscores /= len(batch)
-        grads = score_backward(planner, backbone, tape, dscores, trainable)
-        if not math.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite planner loss at step {step}", last_good=snapshot
-            )
-        opt.step(grads, lr_at(cfg, step))
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            curve.append(LossRecord(step=step, loss=loss, token_accuracy=hits / len(batch)))
-        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
-            snapshot = {k: v.copy() for k, v in params.items()}
-    return planner, curve
+        slots = np.asarray([slot for _, slot in batch])[:, None]
+        ones = np.ones(slots.shape)
+        scores, tape = score_batch(planner, backbone, [t for t, _ in batch], want_tape=True)
+        loss, dscores = nll_loss(scores[:, None], slots, ones)
+        acc = _token_accuracy(scores[:, None], slots, ones)
+        return loss, acc, score_backward(planner, backbone, tape, dscores[:, 0], trainable)
+
+    return planner, _run_training(planner.trainable_parameters(), loss_at, cfg)
 
 
 @dataclass

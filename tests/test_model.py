@@ -139,6 +139,11 @@ def test_forward_rejects_float_token_ids(tiny_model):
     expert = init_expert(TINY, 0, "x", (1,), Rng(7))
     with pytest.raises(TokenIdError):
         forward_with_expert(tiny_model, expert, [257, 2.7])
+    # nor is a bool read as the id 0 or 1
+    with pytest.raises(TokenIdError):
+        forward_base(tiny_model, [257, True])
+    with pytest.raises(TokenIdError):
+        forward_with_expert(tiny_model, expert, (257, False))
 
 
 def test_forward_golden_regression(tiny_model):
@@ -295,9 +300,9 @@ def test_decode_step_rejects_a_token_that_is_not_an_integer(tiny_model, bad):
     assert len(cache) == 1
 
 
-@pytest.mark.parametrize("prompt", [[257, 2.7], "ab", [257, None]])
+@pytest.mark.parametrize("prompt", [[257, 2.7], "ab", [257, None], [257, True], (257, False)])
 def test_greedy_decode_rejects_prompt_ids_that_are_not_integers(tiny_model, prompt):
-    # [257, 2.7] used to decode as [257, 2]
+    # [257, 2.7] used to decode as [257, 2], and [257, True] as [257, 1]
     for use_cache in (True, False):
         with pytest.raises(TokenIdError):
             greedy_decode(tiny_model, None, prompt, 2, use_cache=use_cache)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ccoe import domains as dom
-from ccoe import training
+from ccoe import routing, training
 from ccoe.bench import STRATEGY_NAMES, strategy_positions
 from ccoe.checkpoint import digest
 from ccoe.errors import (
@@ -20,7 +20,14 @@ from ccoe.errors import (
 from ccoe.model import ModelConfig, deep_copy_backbone, init_backbone, init_expert
 from ccoe.net import backward_batch, forward_batch, pack
 from ccoe.rng import Rng
-from ccoe.routing import STOP, init_planner, score_backward, score_batch, score_tokens
+from ccoe.routing import (
+    STOP,
+    deep_copy_planner,
+    init_planner,
+    score_backward,
+    score_batch,
+    score_tokens,
+)
 from ccoe.tokenizer import PAD, VOCAB_SIZE
 from ccoe.training import (
     Adam,
@@ -610,3 +617,102 @@ def test_packed_score_batch_matches_per_row_scores_and_summed_gradients():
     assert set(grads) == set(want_grads) == trainable
     for key, g in grads.items():
         assert np.allclose(g, want_grads[key], rtol=0, atol=1e-12), key
+
+
+# --- the scorer against its per-subtask reference --------------------------------
+
+
+def reference_scorer(planner, model, tokens, dscores, trainable):
+    """One subtask alone through the block, then the scorer's single-head
+    softmax cross-attention written out: returns its scores [n + 1] and the
+    gradients of ``dscores . scores`` restricted to ``trainable``."""
+    _, h, tape = forward_batch(model, np.asarray([tokens]), expert=planner.expert,
+                               want_tape=True)
+    s, w, x = planner.scorer, planner.indicators, h[0]
+    scale = 1.0 / math.sqrt(x.shape[-1])
+    q, k, v = w @ s["wq"], x @ s["wk"], x @ s["wv"]
+    att = q @ k.T * scale
+    att = np.exp(att - att.max(axis=-1, keepdims=True))
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = att @ v
+    out = ctx @ s["wo"]
+    scores = out @ s["fw"] + s["fb"][0]
+
+    dout = dscores[:, None] * s["fw"]
+    dctx = dout @ s["wo"].T
+    datt = dctx @ v.T
+    datt = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
+    dq, dk, dv = datt @ k * scale, datt.T @ q * scale, att.T @ dctx
+    grads = {("planner", "scorer.fw"): out.T @ dscores,
+             ("planner", "scorer.fb"): np.asarray([dscores.sum()]),
+             ("planner", "scorer.wo"): ctx.T @ dout,
+             ("planner", "indicators"): dq @ s["wq"].T,
+             ("planner", "scorer.wq"): w.T @ dq,
+             ("planner", "scorer.wk"): x.T @ dk,
+             ("planner", "scorer.wv"): x.T @ dv}
+    dh = (dk @ s["wk"].T + dv @ s["wv"].T)[None]
+    grads.update(backward_batch(model, tape, trainable, expert=planner.expert, dhidden=dh))
+    return scores, {key: g for key, g in grads.items() if key in trainable}
+
+
+@pytest.mark.parametrize("lengths", [(12, 5, 4, 3, 1, 9), (7, 3, 2, 2, 1), (1,)])
+def test_scorer_equals_the_per_subtask_softmax_reference(lengths):
+    rng = Rng(61)
+    model = as_f64(init_backbone(TINY, rng.child("bb")))
+    model.freeze()
+    planner = f64_planner(TINY, [0, 2, 5], (0, 2), rng.child("pl"))
+    data = Rng(62)
+    token_lists = [[int(t) for t in data.integers(0, TINY.vocab_size, n)] for n in lengths]
+    row = pack(list(lengths))[0]
+    if len(lengths) > 1:  # a row holds three subtasks, one of them a single token
+        assert np.bincount(row).max() == 3
+    dscores = data.normal((len(lengths), 4), 1.0).astype(np.float64)
+    trainable = set(planner.trainable_parameters())
+
+    scores, tape = score_batch(planner, model, token_lists, want_tape=True)
+    grads = score_backward(planner, model, tape, dscores, trainable)
+    want_grads: dict = {}
+    for i, toks in enumerate(token_lists):
+        want, one = reference_scorer(planner, model, toks, dscores[i], trainable)
+        assert np.allclose(scores[i], want, rtol=0, atol=1e-12)
+        for key, g in one.items():
+            want_grads[key] = want_grads.get(key, 0) + g
+    assert set(grads) == set(want_grads) == trainable
+    for key, g in grads.items():
+        assert np.allclose(g, want_grads[key], rtol=0, atol=1e-12), key
+
+
+def test_a_planner_step_takes_the_slot_cross_entropy(monkeypatch):
+    config = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=12,
+                         vocab_size=VOCAB_SIZE, max_seq=64)
+    rng = Rng(63)
+    model = as_f64(init_backbone(config, rng.child("bb")))
+    model.freeze()
+    names = dom.DOMAIN_NAMES
+    planner = f64_planner(config, list(range(len(names))), (1,), rng.child("pl"))
+    before = deep_copy_planner(planner)
+    tasks = build_planner_dataset({n: i for i, n in enumerate(names)}, 8, Rng(64))
+    cfg = TrainConfig(learning_rate=1e-3, steps=1, batch_size=12, seed=65, warmup_steps=0)
+    seen = []
+    real = routing.score_backward
+    monkeypatch.setattr(routing, "score_backward",
+                        lambda *args: seen.append(args[3]) or real(*args))
+    _, curve = train_planner(planner, model, tasks, cfg)
+
+    # the same batch, drawn as train_planner draws it
+    samples = [(s.tokens, training._label_slot(before, s.label)) for t in tasks for s in t.steps]
+    order = Rng(cfg.seed).child("planner-order")
+    batch = [samples[int(order.integers(0, len(samples)))] for _ in range(cfg.batch_size)]
+    rows = np.arange(len(batch))
+    slots = np.asarray([slot for _, slot in batch])
+    scores = score_batch(before, model, [t for t, _ in batch])
+    ez = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    loss = -float(np.log(np.maximum(probs[rows, slots], 1e-12)).mean())
+    hits = int((np.argmax(scores, axis=1) == slots).sum())
+    dscores = probs
+    dscores[rows, slots] -= 1.0
+    dscores /= len(batch)
+    assert abs(curve[0].loss - loss) < 1e-12
+    assert curve[0].token_accuracy == hits / len(batch)
+    assert np.allclose(seen[0], dscores, rtol=0, atol=1e-15)
