@@ -47,7 +47,6 @@ from .routing import (
     execute_plan,
     gate,
     init_planner,
-    plan_scores,
     select_expert,
 )
 from .training import (
@@ -69,7 +68,7 @@ __all__ = [
     "forward_with_expert", "gate", "greedy_decode",
     "init_backbone", "init_expert", "init_planner", "layer_norm",
     "load_checkpoint", "memory_report", "nll_loss", "param_bytes",
-    "plan_scores", "pop_copy", "pop_remove", "pretrain_backbone", "push",
+    "pop_copy", "pop_remove", "pretrain_backbone", "push",
     "run_adapter_baseline", "run_ccoe", "run_mdme_baseline", "save_checkpoint",
     "select_expert", "strategy_positions", "train_expert",
     "train_planner",

@@ -6,7 +6,10 @@ each with the gradient its backward pass needs; ``net.forward_batch`` and
 decode alike, and the planner's scorer (``routing.score_batch``) runs its
 cross-attention through ``attention`` and ``attention_bwd`` with one head.
 ``layer_norm`` is the forward layer norm with its eps and finiteness checks,
-which the oracle tests hold to a float64 reference.
+which the oracle tests hold to a float64 reference. ``layer_norm_out``,
+``gelu_tanh`` and ``gelu_from_tanh`` repeat parts of the forward kernels
+operation for operation, so that a backward pass rebuilds what its tape does
+not keep bit for bit; a test holds each equal to the output it replaces.
 Attention over more than one query row lays its scores out keys-first,
 [keys, heads, rows, queries], so that the softmax's passes over the short key
 axis run over whole contiguous slices; the masks (``causal_mask``,
@@ -81,6 +84,15 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     out = xc * gain
     out += bias
     return out, (xc, inv, gain)
+
+
+def layer_norm_out(cache, bias: np.ndarray) -> np.ndarray:
+    """The output of ``layer_norm_fwd`` rebuilt from its cache (xh, inv,
+    gain) and the bias by the forward's own last two operations, so bit for
+    bit."""
+    out = cache[0] * cache[2]
+    out += bias
+    return out
 
 
 def layer_norm_bwd(dy: np.ndarray, cache, need_dparams: bool = True):
@@ -368,7 +380,10 @@ def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     u = C0 * (x + C1 * x^3) is formed as x * (C0 + C0*C1 * x^2), with the two
     constants folded into one, so the forward is 8 NumPy calls; the
-    constants are 0-d arrays of ``x``'s dtype (see ``_constant``)."""
+    constants are 0-d arrays of ``x``'s dtype (see ``_constant``).
+    ``gelu_tanh`` and ``gelu_from_tanh`` repeat its two halves, so that a
+    backward pass rebuilds either output from ``x`` bit for bit without a
+    new call on the forward's path."""
     c01, c0, one, half = _gelu_constants(x.dtype)
     u = x * x
     u *= c01
@@ -379,6 +394,26 @@ def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y *= x
     y *= half
     return y, u
+
+
+def gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """The tanh(u) of ``gelu_fwd(x)``, by its own operations."""
+    c01, c0, _, _ = _gelu_constants(x.dtype)
+    u = x * x
+    u *= c01
+    u += c0
+    u *= x
+    return np.tanh(u, out=u)
+
+
+def gelu_from_tanh(x: np.ndarray, tanh_u: np.ndarray) -> np.ndarray:
+    """The GELU output of ``gelu_fwd(x)`` given its tanh(u), by its own
+    operations: x * (1 + tanh(u)) / 2."""
+    _, _, one, half = _gelu_constants(x.dtype)
+    y = tanh_u + one
+    y *= x
+    y *= half
+    return y
 
 
 def gelu_grad_from_tanh(x: np.ndarray, tanh_u: np.ndarray) -> np.ndarray:

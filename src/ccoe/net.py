@@ -13,6 +13,14 @@ excluded from differentiation structurally rather than by zeroing, and why
 expert and planner training skip most of the backward work that pretraining
 does.
 
+The tape keeps per layer only the five arrays the backward cannot rebuild
+without re-running attention: the two layer-norm caches (normalised rows and
+inverse deviations), the attention weights, the context rows and the GELU
+input. The backward rebuilds the rest from them by repeating the forward's
+own operations on the same inputs (selective activation recomputation,
+Korthikanti et al., arXiv 2205.05198), so every rebuilt value, and every
+gradient, is bit-identical to a pass that taped it.
+
 All code is dtype-agnostic: parameter dtype (float32 in production, float64 in
 finite-difference tests) decides the computation dtype. Scalar constants are
 Python floats so they never promote float32 arrays.
@@ -30,10 +38,13 @@ from .kernels import (
     attention,
     attention_bwd,
     causal_mask,
+    gelu_from_tanh,
     gelu_fwd,
     gelu_grad_from_tanh,
+    gelu_tanh,
     layer_norm_bwd,
     layer_norm_fwd,
+    layer_norm_out,
     segment_mask,
     tiles_queries,
 )
@@ -240,6 +251,13 @@ def forward_batch(
     ``2 * kernels.TILE`` positions: a long prefill, cached or not) builds no
     mask at all: attention runs its queries in causal tiles, each masking
     only its own diagonal block.
+
+    With ``want_tape`` the tape keeps, per layer, ``ln1c`` and ``ln2c``
+    (each norm's normalised rows, inverse deviations and gain, the gain
+    being the parameter itself), ``probs`` (the weights' view), ``merged``
+    (the context rows, the output projection's input) and ``pre`` (the
+    GELU input): N * (3 d + d_ff + 2) + b * h * t * t values for N = b * t
+    rows. Everything else ``backward_batch`` rebuilds.
     """
     c = backbone.config
     p = backbone.params
@@ -315,11 +333,8 @@ def forward_batch(
         x += b2
         x += x1
         if want_tape:
-            layers_tape.append({
-                "h1": h1, "ln1c": ln1c, "q": q, "k": k, "v": v, "probs": probs,
-                "merged": merged, "h2": h2, "ln2c": ln2c, "pre": pre_act, "act": act,
-                "tanh_u": tanh_u,
-            })
+            layers_tape.append({"ln1c": ln1c, "probs": probs, "merged": merged,
+                                "ln2c": ln2c, "pre": pre_act})
 
     if cache is not None:
         cache.length = end
@@ -359,6 +374,18 @@ def backward_batch(
     as its weights (see ``kernels.attention_bwd``). Column sums (bias
     gradients) are products with a ones vector, and the embedding gradient
     groups rows by token id with ``sum_rows_by``.
+
+    What the tape does not keep is rebuilt per layer by the forward's own
+    operations on the same inputs, so it is bit-identical to what the
+    forward computed: GELU's tanh(u) from ``pre`` (``kernels.gelu_tanh``)
+    in every layer it walks; the attention block's input from ``ln1c``
+    and the bias (``kernels.layer_norm_out``) and from it the queries,
+    keys and values, with the pass's product (``np.dot`` for a lone row,
+    ``np.matmul`` otherwise), wherever it walks the attention block; and the
+    feed-forward's input (``layer_norm_out`` of ``ln2c``) and GELU output
+    (``kernels.gelu_from_tanh``) only for a trainable ``w1`` and ``w2``
+    respectively, which on a frozen backbone means the expert positions
+    only.
     """
     c = backbone.config
     p = backbone.params
@@ -377,6 +404,7 @@ def backward_batch(
     b, t = tokens.shape
     hidden = tape["hidden"]  # rows, like every taped activation
     ones = np.ones(b * t, dtype=hidden.dtype)
+    dot = np.dot if b * t == 1 else np.matmul  # the forward's product
 
     dh = np.zeros_like(hidden)
     if dlogits is not None:
@@ -397,15 +425,20 @@ def backward_batch(
         ln1g, ln1b, wq, wk, wv, wo = names[i][0]
         comp, fp, (ln2g, ln2b, w1, b1, w2, b2) = srcs[i]
 
-        # feed-forward block: x = x1 + f(ln(x1))
+        # feed-forward block: x = x1 + f(ln(x1)); its input and GELU output
+        # are rebuilt only for a weight gradient
         df = dx
-        dact, dw2 = _mm_back(lt["act"], fp[w2], df, need(comp, w2))
+        pre = lt["pre"]
+        tanh_u = gelu_tanh(pre)
+        act = gelu_from_tanh(pre, tanh_u) if need(comp, w2) else None
+        dact, dw2 = _mm_back(act, fp[w2], df, need(comp, w2))
         add(comp, w2, dw2)
         if need(comp, b2):
             add(comp, b2, ones @ df.reshape(len(ones), -1))
-        dpre = gelu_grad_from_tanh(lt["pre"], lt["tanh_u"])
+        dpre = gelu_grad_from_tanh(pre, tanh_u)
         dpre *= dact
-        dh2, dw1 = _mm_back(lt["h2"], fp[w1], dpre, need(comp, w1))
+        h2 = layer_norm_out(lt["ln2c"], fp[ln2b]) if need(comp, w1) else None
+        dh2, dw1 = _mm_back(h2, fp[w1], dpre, need(comp, w1))
         add(comp, w1, dw1)
         if need(comp, b1):
             add(comp, b1, ones @ dpre.reshape(len(ones), -1))
@@ -416,14 +449,16 @@ def backward_batch(
             break
         dx += dx1_norm
 
-        # attention block: x1 = x0 + wo(attn(ln(x0)))
+        # attention block: x1 = x0 + wo(attn(ln(x0))); its input and
+        # projections are rebuilt
         dmerged, dwo = _mm_back(lt["merged"], p[wo], dx, need("backbone", wo))
         add("backbone", wo, dwo)
-        dq, dk, dv = attention_bwd(dmerged, lt["merged"], lt["q"], lt["k"], lt["v"],
-                                   lt["probs"], c.n_heads)
+        h1 = layer_norm_out(lt["ln1c"], p[ln1b])
+        dq, dk, dv = attention_bwd(dmerged, lt["merged"], dot(h1, p[wq]), dot(h1, p[wk]),
+                                   dot(h1, p[wv]), lt["probs"], c.n_heads)
         dh1 = None
         for key, dterm in ((wq, dq), (wk, dk), (wv, dv)):
-            dxi, dwi = _mm_back(lt["h1"], p[key], dterm, need("backbone", key))
+            dxi, dwi = _mm_back(h1, p[key], dterm, need("backbone", key))
             add("backbone", key, dwi)
             dh1 = dxi if dh1 is None else np.add(dh1, dxi, out=dh1)
         dx0_norm, dg1, db1 = layer_norm_bwd(dh1, lt["ln1c"],

@@ -324,13 +324,6 @@ def score_backward(
     return grads
 
 
-def plan_scores(planner: PlannerExpert, backbone: BackboneModel, subtask: Subtask) -> np.ndarray:
-    if not subtask.query_text:
-        raise RoutingError("empty subtask")
-    tokens, _ = subtask.tokens(backbone.config.max_seq)
-    return score_tokens(planner, backbone, tokens)
-
-
 def select_expert(scores: np.ndarray) -> int:
     """Argmax slot; ties break toward the lowest index (lowest expert id,
     since rows are id-ordered with STOP last)."""

@@ -197,12 +197,15 @@ def loss_and_grads(
     positions: np.ndarray | None = None,
 ) -> tuple[float, float, dict[GradKey, np.ndarray]]:
     """Forward + masked NLL + backward restricted to ``trainable``;
-    ``positions`` marks packed rows as ``forward_batch`` takes it."""
+    ``positions`` marks packed rows as ``forward_batch`` takes it. The
+    logits are dropped before the backward, which needs only their
+    gradient."""
     logits, _, tape = forward_batch(backbone, tokens, expert=expert, want_tape=True,
                                     positions=positions)
     loss, dlogits = nll_loss(logits, targets, mask)
-    grads = backward_batch(backbone, tape, trainable, expert=expert, dlogits=dlogits)
     acc = _token_accuracy(logits, targets, mask)
+    del logits
+    grads = backward_batch(backbone, tape, trainable, expert=expert, dlogits=dlogits)
     return loss, acc, grads
 
 

@@ -17,11 +17,14 @@ from ccoe.kernels import (
     attention,
     attention_bwd,
     causal_mask,
+    gelu_from_tanh,
     gelu_fwd,
     gelu_grad_from_tanh,
+    gelu_tanh,
     layer_norm,
     layer_norm_bwd,
     layer_norm_fwd,
+    layer_norm_out,
     segment_mask,
     tiles_queries,
 )
@@ -519,6 +522,22 @@ def test_gelu_matches_finite_difference():
     h = 1e-6
     fd = (gelu_fwd(x + h)[0] - gelu_fwd(x - h)[0]) / (2 * h)
     assert np.abs(gelu_grad_from_tanh(x, gelu_fwd(x)[1]) - fd).max() < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(64,), (37, 64)])
+def test_backward_rebuilds_equal_the_forward_outputs_bit_for_bit(shape, dtype):
+    """``net.backward_batch`` rebuilds the norm outputs from their caches and
+    GELU's tanh(u) and output from its input, in place of taping them."""
+    rng = Rng(19)
+    x = rng.normal(shape, 2.0).astype(dtype)
+    g, bias = rng.normal((64,)).astype(dtype), rng.normal((64,)).astype(dtype)
+    out, cache = layer_norm_fwd(x, g, bias)
+    assert np.array_equal(layer_norm_out(cache, bias), out)
+    y, tanh_u = gelu_fwd(x)
+    assert np.array_equal(gelu_tanh(x), tanh_u)
+    assert np.array_equal(gelu_from_tanh(x, gelu_tanh(x)), y)
+    assert y.dtype == tanh_u.dtype == out.dtype == dtype
 
 
 def test_rng_same_seed_same_stream():

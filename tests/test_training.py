@@ -167,14 +167,18 @@ def test_expert_gradients_match_finite_differences(seed):
         assert rel < 1e-4, f"{cls}: rel err {rel}"
 
 
-def test_backbone_gradients_match_finite_differences():
+@pytest.mark.parametrize("tokens,targets,mask", [
+    ([[1, 5, 3, 9], [2, 2, 8, 0]], [[5, 3, 9, 1], [2, 8, 0, 7]], [[1, 1, 1, 1], [0, 1, 1, 1]]),
+    ([[1]], [[5]], [[1]]),  # a lone row: the 1-D lane, products by np.dot
+], ids=["two_rows", "one_token"])
+def test_backbone_gradients_match_finite_differences(tokens, targets, mask):
     """Pretraining path: every backbone parameter class, incl. embeddings,
     attention projections, head."""
     rng = Rng(77)
     model = as_f64(init_backbone(TINY, rng.child("bb")))
-    tokens = np.asarray([[1, 5, 3, 9], [2, 2, 8, 0]], dtype=np.int64)
-    targets = np.asarray([[5, 3, 9, 1], [2, 8, 0, 7]], dtype=np.int64)
-    mask = np.asarray([[1, 1, 1, 1], [0, 1, 1, 1]], dtype=np.float64)
+    tokens = np.asarray(tokens, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(mask, dtype=np.float64)
     trainable = {("backbone", k) for k in model.params}
     _, _, grads = loss_and_grads(model, None, tokens, targets, mask, trainable)
 
@@ -338,6 +342,30 @@ def test_backward_never_produces_backbone_grads_for_expert_training():
                            dlogits=np.ones_like(logits))
     assert all(comp == "expert" for comp, _ in grads)
     assert set(grads) == trainable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_taped_packed_pass_keeps_five_arrays_per_layer(dtype):
+    """The tape keeps per layer only what the backward cannot rebuild
+    without re-running attention: both norm caches (xh, inv), the attention
+    weights, the context rows and the GELU input."""
+    model = init_backbone(TINY, Rng(41))
+    if dtype == np.float64:
+        model = as_f64(model)
+    _, _, positions = pack([5, 3, 2, 4, 1])
+    tokens = Rng(42).integers(0, TINY.vocab_size, positions.shape)
+    _, _, tape = forward_batch(model, tokens, want_tape=True, positions=positions)
+    b, t = tokens.shape
+    n, d = b * t, TINY.d_model
+    closed = 2 * (n * d + n) + b * TINY.n_heads * t * t + n * d + n * TINY.d_ff
+    assert len(tape["layers"]) == TINY.n_layers
+    for i, layer in enumerate(tape["layers"]):
+        assert set(layer) == {"ln1c", "ln2c", "probs", "merged", "pre"}
+        assert layer["ln1c"][2] is model.params[f"layers.{i}.ln1.g"]
+        assert layer["ln2c"][2] is model.params[f"layers.{i}.ln2.g"]
+        kept = (*layer["ln1c"][:2], *layer["ln2c"][:2], layer["probs"], layer["merged"],
+                layer["pre"])
+        assert sum(a.nbytes for a in kept) == closed * np.dtype(dtype).itemsize
 
 
 DEEP = ModelConfig(n_layers=6, d_model=8, n_heads=2, d_ff=12, vocab_size=20, max_seq=24)
