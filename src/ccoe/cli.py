@@ -178,10 +178,7 @@ def load_registry(manifest: Manifest, need_planner: bool = False) -> ExpertRegis
         raise ConfigError("backbone record does not point at a backbone checkpoint")
     registry = ExpertRegistry(backbone=backbone, seed=manifest.seed)
     for rec in manifest.experts:
-        expert = load_checkpoint(manifest.resolve(rec["path"]))
-        if not isinstance(expert, ExpertSubnetwork):
-            raise ConfigError(f"expert record {rec['id']} is not an expert checkpoint")
-        push(registry, expert)
+        push(registry, manifest.resolve(rec["path"]))
     for row in manifest.mapping:
         for eid in row["experts"]:
             registry.mapping.associate(row["domain"], int(eid))

@@ -15,6 +15,12 @@ once per pass from cached name tables, 1-D dense products through
 ``np.dot``, and attention over the cache's per-head views with no copy.
 The no-cache path recomputes the full forward every step and must produce
 identical token sequences; tests hold the cached path to that oracle.
+
+A cache's arrays are cut from one flat block. ``greedy_decode`` keeps the
+block of its last finished request, one per model shape and dtype for the
+life of the process, and cuts the next request's cache from it, so a
+request does not allocate and free its keys and values each time (1 MiB at
+8 layers, d_model 64 and max_seq 256).
 """
 
 from __future__ import annotations
@@ -35,32 +41,53 @@ def check_count(value, what: str, error: type[CcoeError] = SequenceLengthError) 
     return int(value)
 
 
+# the block of each model shape's last finished greedy_decode cache
+_SPARE: dict[tuple, np.ndarray] = {}
+
+
+def _block_key(model: BackboneModel) -> tuple:
+    c = model.config
+    return c.n_layers, c.d_model, c.max_seq, model.params["embed"].dtype
+
+
 class KvCache:
     """Per-layer cached keys/values for one in-flight decode.
 
-    ``capacity`` positions (default: the model's ``max_seq``) are allocated
-    up front. Keys are keys-major: ``k[i]`` is [n_heads, head_dim, capacity],
-    so the score product multiplies the queries by ``k[i][..., :n]`` as a
-    plain row-major matrix per head. ``k_rows[i]`` is a token-major
-    [capacity, d_model] view of the same memory, through which a pass writes
-    its key rows. Values are token-major: ``v[i]`` is [capacity, d_model],
-    and ``v_heads[i]`` is its [n_heads, capacity, head_dim] view, which
-    attention slices once per layer. A decode step writes one row of each
-    per layer.
+    ``capacity`` positions (default: the model's ``max_seq``) are laid out
+    up front in ``block``, a flat array of ``2 * n_layers`` stretches of
+    ``max_seq * d_model`` values, one per layer's keys and one per layer's
+    values; each array is the first ``capacity * d_model`` values of its
+    stretch, so one block serves a cache of any capacity. A block passed in
+    (see ``greedy_decode``) is used as it is: the positions a pass has not
+    written are never read. Keys are keys-major: ``k[i]`` is
+    [n_heads, head_dim, capacity], so the score product multiplies the
+    queries by ``k[i][..., :n]`` as a plain row-major matrix per head.
+    ``k_rows[i]`` is a token-major [capacity, d_model] view of the same
+    memory, through which a pass writes its key rows. Values are
+    token-major: ``v[i]`` is [capacity, d_model], and ``v_heads[i]`` is its
+    [n_heads, capacity, head_dim] view, which attention slices once per
+    layer. A decode step writes one row of each per layer.
     """
 
-    def __init__(self, model: BackboneModel, capacity: int | None = None):
+    def __init__(self, model: BackboneModel, capacity: int | None = None,
+                 block: np.ndarray | None = None):
         c = model.config
         capacity = c.max_seq if capacity is None else check_count(capacity, "cache capacity")
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
-        dt = model.params["embed"].dtype
+        span = c.max_seq * c.d_model
+        if block is None:
+            block = np.empty(2 * c.n_layers * span, dtype=model.params["embed"].dtype)
         hd = c.d_model // c.n_heads
-        keys = [np.empty((c.d_model, capacity), dtype=dt) for _ in range(c.n_layers)]
+        n = capacity * c.d_model
+        keys = [block[i * span:i * span + n].reshape(c.d_model, capacity)
+                for i in range(c.n_layers)]
         self.k = [a.reshape(c.n_heads, hd, capacity) for a in keys]
         self.k_rows = [a.T for a in keys]
-        self.v = [np.empty((capacity, c.d_model), dtype=dt) for _ in range(c.n_layers)]
+        self.v = [block[i * span:i * span + n].reshape(capacity, c.d_model)
+                  for i in range(c.n_layers, 2 * c.n_layers)]
         self.v_heads = [a.reshape(capacity, c.n_heads, hd).transpose(1, 0, 2) for a in self.v]
+        self.block = block
         self.capacity = capacity
         self.length = 0
 
@@ -105,6 +132,10 @@ def greedy_decode(
     a cast (``net.token_row``): an id that is not an integer in the
     vocabulary (a float, a str, a bool) raises ``TokenIdError``, and an
     empty prompt ``SequenceLengthError``.
+
+    The cache is cut from the block the last finished request of this model
+    shape left behind, when there is one, and its block is left behind in
+    turn, whether the request returns or raises.
     """
     if len(prompt) == 0:
         raise SequenceLengthError("prompt must be nonempty")
@@ -115,8 +146,18 @@ def greedy_decode(
         )
     tokens = token_row(prompt)
     check_token_ids(tokens, model.config.vocab_size, "prompt")
+    if not use_cache:
+        return _continue(model, expert, tokens, max_new, None, stop_token)
+    key = _block_key(model)
     # the last generated token is never fed back, so it needs no cache position
-    cache = KvCache(model, len(prompt) + max_new - 1) if use_cache else None
+    cache = KvCache(model, len(prompt) + max_new - 1, _SPARE.pop(key, None))
+    try:
+        return _continue(model, expert, tokens, max_new, cache, stop_token)
+    finally:
+        _SPARE[key] = cache.block
+
+
+def _continue(model, expert, tokens, max_new, cache, stop_token) -> list[int]:
     logits = forward_batch(model, tokens, expert=expert, cache=cache)[0][0, -1]
     out: list[int] = []
     while True:

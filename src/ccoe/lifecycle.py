@@ -5,7 +5,9 @@ mapping matrix for rule-based gating, and an optional planner. Mutations are
 validate-then-commit: a refused push leaves every byte unchanged. Registered
 components are deep-copied in and their arrays made read-only, so nothing the
 caller does afterwards (training a popped copy, mutating the source) can reach
-inside the registry.
+inside the registry. An expert pushed from a checkpoint path is the one
+exception to the copy: no caller holds it, so it is frozen and registered as
+loaded.
 
 The accounting model counts resident parameter bytes (4 per float32) and backs
 the deployment comparison: one shared backbone plus small overlays versus one
@@ -71,7 +73,8 @@ def push(
     mutation. A new id also gets a mapping association and a fresh, randomly
     initialized planner indicator row flagged uncalibrated.
     """
-    if not isinstance(expert, ExpertSubnetwork):
+    owned = not isinstance(expert, ExpertSubnetwork)
+    if owned:
         loaded = load_checkpoint(expert)
         if not isinstance(loaded, ExpertSubnetwork):
             raise ConfigError(f"checkpoint at {expert} is not an expert")
@@ -90,7 +93,7 @@ def push(
             f"expert {expert.expert_id} is registered for domain "
             f"{existing.domain!r}, refusing silent re-domain to {expert.domain!r}"
         )
-    incoming = deep_copy_expert(expert).freeze()
+    incoming = (expert if owned else deep_copy_expert(expert)).freeze()
     is_new = existing is None
     registry.experts[expert.expert_id] = incoming
     if is_new:

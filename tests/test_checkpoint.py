@@ -4,14 +4,23 @@ tensor records."""
 import hashlib
 import json
 import struct
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccoe.checkpoint import FORMAT_VERSION, MAGIC, _loads, load_checkpoint, save_checkpoint
+from ccoe.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
+    _loads,
+    digest,
+    load_checkpoint,
+    save_checkpoint,
+)
 from ccoe.errors import ConfigError, CorruptionError, VersionError
-from ccoe.model import ModelConfig, init_backbone, init_expert
+from ccoe.model import ModelConfig, init_backbone, init_expert, param_bytes
 from ccoe.rng import Rng
 from ccoe.routing import init_planner
 
@@ -170,3 +179,75 @@ def test_every_single_bit_flip_of_a_saved_expert_is_detected(tmp_path):
         with pytest.raises((CorruptionError, VersionError)):
             _loads(bytes(blob))
         blob[bit // 8] ^= 1 << bit % 8
+
+
+def reference_records(tensors):
+    """The records section built whole, one ``tobytes`` per tensor."""
+    out = b""
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        nb = name.encode("utf-8")
+        out += struct.pack("<I", len(nb)) + nb + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+        out += struct.pack("<Q", arr.nbytes) + arr.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("kind", ["backbone", "expert", "planner"])
+def test_saved_records_and_digest_match_the_whole_section_reference(tmp_path, kind):
+    component = components()[kind]
+    path = tmp_path / "c.ccoe"
+    returned = save_checkpoint(component, path)
+    header, records = split(path)
+    assert records == reference_records(component.named_parameters())
+    assert returned == header["digest"] == digest(component) == hashlib.sha256(records).hexdigest()
+    assert header["data_bytes"] == sum(a.nbytes for a in component.named_parameters().values())
+
+
+def traced_peak(fn):
+    """Bytes allocated at the peak of ``fn()``, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+SLACK = 64 * 1024
+
+
+@pytest.fixture
+def saved_backbone(tmp_path, target_config):
+    backbone = init_backbone(target_config, Rng(43)).freeze()
+    path = tmp_path / "backbone.ccoe"
+    save_checkpoint(backbone, path)
+    largest = max(a.nbytes for a in backbone.params.values())
+    return backbone, path, largest
+
+
+def test_load_holds_the_component_plus_one_record(saved_backbone):
+    backbone, path, largest = saved_backbone
+    assert traced_peak(lambda: load_checkpoint(path)) <= param_bytes(backbone) + largest + SLACK
+
+
+def test_save_and_digest_hold_at_most_one_record(saved_backbone, tmp_path):
+    backbone, _, largest = saved_backbone
+    assert traced_peak(lambda: save_checkpoint(backbone, tmp_path / "again.ccoe")) <= largest + SLACK
+    assert traced_peak(lambda: digest(backbone)) <= largest + SLACK
+
+
+def test_a_record_length_of_2_to_the_40_is_refused_before_it_is_allocated(saved_backbone):
+    _, path, largest = saved_backbone
+    header, records = split(path)
+    (nlen,) = struct.unpack_from("<I", records, 0)
+    (rank,) = struct.unpack_from("<I", records, 4 + nlen)
+    at = 4 + nlen + 4 + 4 * rank
+    records = records[:at] + struct.pack("<Q", 2**40) + records[at + 8 :]
+    rewrite(path, header, records)  # the records digest matches the edit
+
+    def load():
+        with pytest.raises(CorruptionError):
+            load_checkpoint(path)
+
+    assert traced_peak(load) <= largest + SLACK

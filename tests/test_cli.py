@@ -87,6 +87,14 @@ def test_report_memory_on_a_valid_manifest_exits_zero(tmp_path, capsys):
     assert "backbone" in capsys.readouterr().out
 
 
+def test_an_expert_record_pointing_at_a_backbone_exits_with_data_error(tmp_path, capsys):
+    manifest = _backbone_manifest(tmp_path)
+    manifest.experts.append({"id": 0, "domain": "copy", "path": "backbone.ccoe", "positions": [1]})
+    manifest.save()
+    assert main(["report-memory", "--manifest", str(manifest.path)]) == 2  # ConfigError
+    assert "backbone.ccoe is not an expert" in capsys.readouterr().err
+
+
 def test_infer_on_a_backbone_with_an_infinite_head_exits_with_numeric_code(tmp_path, capsys):
     backbone = init_backbone(TINY, Rng(5))
     backbone.params["head"][0, 7] = np.inf

@@ -1,10 +1,12 @@
 """Registry mutations: a refused push changes nothing."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ccoe.checkpoint import digest, save_checkpoint
 from ccoe.errors import BudgetError, ConfigError, RoutingConfigError
 from ccoe.lifecycle import ExpertRegistry, attach_planner, budget_limit_bytes, push
 from ccoe.model import ExpertSubnetwork, ModelConfig, init_backbone, init_expert, param_bytes
@@ -61,3 +63,21 @@ def test_refused_push_leaves_the_registry_unchanged(make, error):
     assert planner.indicator_ids == ids and planner.uncalibrated == uncalibrated
     assert np.array_equal(planner.indicators, indicators)
     assert reg.ledger() == ledger
+
+
+def test_push_from_a_path_registers_the_loaded_expert_without_a_copy(tmp_path, target_config):
+    reg = ExpertRegistry(backbone=init_backbone(target_config, Rng(60)).freeze())
+    expert = init_expert(target_config, 0, "copy", (0, 4), Rng(61))
+    path = tmp_path / "copy.ccoe"
+    save_checkpoint(expert, path)
+    largest = max(a.nbytes for a in expert.params.values())
+    tracemalloc.start()
+    try:
+        push(reg, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= param_bytes(expert) + largest
+    pushed = reg.experts[0]
+    assert digest(pushed) == digest(expert)
+    assert not any(a.flags.writeable for a in pushed.params.values())

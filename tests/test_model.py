@@ -1,6 +1,7 @@
 """Model contracts: init, parameter accounting, splice semantics, decoding."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -578,3 +579,35 @@ def test_long_cached_prefill_builds_no_causal_mask(mid_model, monkeypatch):
     # a short prefill still masks its one tile with a full mask
     forward_batch(mid_model, np.asarray([_long_prompt(40, 11)]), cache=KvCache(mid_model, 40))
     assert built == [(40, 0)]
+
+
+def test_greedy_decode_cuts_each_cache_from_the_last_requests_block(
+        mid_model, mid_expert, monkeypatch):
+    monkeypatch.setattr(decoding, "_SPARE", {})
+    block_bytes = 2 * MID.n_layers * MID.max_seq * MID.d_model * 4
+    prompt = _long_prompt(200, 12)
+
+    def traced():
+        tracemalloc.start()
+        try:
+            out = greedy_decode(mid_model, mid_expert, prompt, 4, stop_token=None)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first, fresh = traced()
+    second, reused = traced()
+    assert first == second
+    assert fresh - reused >= block_bytes
+
+
+def test_a_reused_cache_block_gives_the_tokens_of_a_fresh_one(mid_model, mid_expert, monkeypatch):
+    monkeypatch.setattr(decoding, "_SPARE", {})
+    prompt = _long_prompt(150, 13)
+    want = greedy_decode(mid_model, mid_expert, prompt, 6, stop_token=None)
+    assert want == greedy_decode(mid_model, mid_expert, prompt, 6, use_cache=False, stop_token=None)
+    greedy_decode(mid_model, None, _long_prompt(240, 14), 8, stop_token=None)
+    (block,) = decoding._SPARE.values()
+    block.fill(np.nan)  # a read of any position the request has not written would show
+    assert greedy_decode(mid_model, mid_expert, prompt, 6, stop_token=None) == want
+    assert decoding._SPARE[decoding._block_key(mid_model)] is block
