@@ -21,6 +21,7 @@ untimed warmup repetition.
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from . import domains as dom
 from .decoding import check_count, greedy_decode
 from .errors import ConfigError, WorkloadError
 from .lifecycle import ExpertRegistry
-from .model import BackboneModel, init_expert, param_bytes
+from .model import BackboneModel, backbone_param_shapes, init_expert, param_bytes
 from .rng import Rng
 from .routing import gate
 from .training import TrainConfig, evaluate_exact_match, train_expert
@@ -185,7 +186,9 @@ def run_mdme_baseline(
     max_new: int = 12,
 ) -> BenchReport:
     """One full model per domain. Under a budget, models are LRU-evicted and
-    re-loaded (deserialize + digest check) on demand; load time counts."""
+    re-loaded (deserialize + digest check) on demand; load time counts. A
+    budget below the largest model the workload needs raises
+    ``ConfigError``."""
     import os
     import tempfile
 
@@ -196,6 +199,10 @@ def run_mdme_baseline(
             raise WorkloadError(f"no standalone model for domain {domain!r}")
 
     bytes_per = {d: param_bytes(m) for d, m in models.items()}
+    largest = max((bytes_per[d] for d, _ in workload.items), default=0)
+    if resident_budget_bytes is not None and resident_budget_bytes < largest:
+        raise ConfigError(f"resident budget of {resident_budget_bytes} bytes cannot hold the "
+                          f"workload's largest model of {largest} bytes")
     store_dir = tempfile.TemporaryDirectory(prefix="mdme-")
     stores: dict[str, str] = {}
     for d, m in models.items():
@@ -284,9 +291,9 @@ def materialize_adapter(backbone: BackboneModel, aset: AdapterSet) -> BackboneMo
 
 
 def overlay_bytes(config) -> int:
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
-    per_layer = 4 * d * d + d * dff + dff * d
-    return 4 * (config.n_layers * per_layer + d * v)
+    """Bytes of one materialized set of adapted maps."""
+    shapes = backbone_param_shapes(config)
+    return 4 * sum(math.prod(shapes[name]) for name in adapted_map_names(config))
 
 
 def run_adapter_baseline(
@@ -351,10 +358,10 @@ def ablate_insertion(
     train_cfg: TrainConfig,
     eval_size: int = 100,
     strategies: tuple[str, ...] = STRATEGY_NAMES,
-    warm_start: bool = True,
 ) -> list[AblationRow]:
-    """Train one expert per insertion strategy under identical seeds and
-    config; report held-out exact-match and the gain over the frozen base."""
+    """Train one warm-started expert per insertion strategy under identical
+    seeds and config; report held-out exact-match and the gain over the
+    frozen base."""
     domain = dom.DOMAINS[domain_name]
     rows = []
     base_acc = None
@@ -366,7 +373,7 @@ def ablate_insertion(
             domain_name,
             positions,
             Rng(train_cfg.seed).child("ablate-init", strat),
-            warm_from=backbone if warm_start else None,
+            warm_from=backbone,
         )
         result = train_expert(expert, backbone, domain, train_cfg)
         held = dom.heldout_payloads(

@@ -48,6 +48,7 @@ from .model import (
     backbone_param_shapes,
     expert_param_shapes,
 )
+from .routing import PlannerExpert, scorer_param_shapes
 
 MAGIC = b"CCOE"
 FORMAT_VERSION = 2
@@ -101,9 +102,6 @@ def _component_header(component) -> dict[str, Any]:
             "positions": list(component.positions),
             "inner_width": component.inner_width,
         }
-    # planner: imported lazily to avoid a module cycle
-    from .routing import PlannerExpert
-
     if isinstance(component, PlannerExpert):
         return {
             "kind": "planner",
@@ -160,8 +158,7 @@ def _expected_shapes(header: dict[str, Any]) -> dict[str, tuple[int, ...]]:
     if kind == "planner":
         shapes = {"expert." + n: shape for n, shape in expert.items()}
         shapes["indicators"] = (len(header["indicator_ids"]) + 1, d)
-        shapes.update({f"scorer.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
-        shapes.update({"scorer.fw": (d,), "scorer.fb": (1,)})
+        shapes.update({"scorer." + n: shape for n, shape in scorer_param_shapes(d).items()})
         return shapes
     raise CorruptionError(f"unknown component kind {kind!r}")
 
@@ -245,8 +242,6 @@ def _build(header: dict[str, Any], tensors: dict[str, np.ndarray]):
     if kind == "expert":
         return _expert(header, tensors)
     # a planner: _check_tensors admits no other kind
-    from .routing import PlannerExpert
-
     expert_params = {
         k.removeprefix("expert."): v for k, v in tensors.items() if k.startswith("expert.")
     }

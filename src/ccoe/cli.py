@@ -100,8 +100,10 @@ class Manifest:
 
     @staticmethod
     def load(path: str | Path) -> "Manifest":
-        """Parse a manifest; a malformed record raises ``DatasetError``
-        naming the file and line."""
+        """Parse a manifest; a malformed record, or a field of the wrong type
+        (``seed`` and ``id`` integers, ``path`` and ``domain`` strings,
+        ``experts`` a list of integers), raises ``DatasetError`` naming the
+        file and line."""
         p = Path(path)
         if not p.exists():
             raise DatasetError(f"manifest not found: {p}")
@@ -123,9 +125,13 @@ class Manifest:
             missing = [f for f in RECORD_FIELDS[kind] if f not in rec]
             if missing:
                 raise DatasetError(f"{where}: {kind} record lacks {', '.join(missing)}")
-            for name in ("seed", "id"):
-                if name in rec and type(rec[name]) is not int:
-                    raise DatasetError(f"{where}: {name} {rec[name]!r} is not an integer")
+            for name, want in (("seed", int), ("id", int), ("path", str), ("domain", str)):
+                if name in rec and type(rec[name]) is not want:
+                    raise DatasetError(
+                        f"{where}: {name} {rec[name]!r} is not of type {want.__name__}")
+            experts = rec.get("experts", [])
+            if type(experts) is not list or any(type(e) is not int for e in experts):
+                raise DatasetError(f"{where}: experts {experts!r} is not a list of integers")
             if kind == "config":
                 m.seed = rec.get("seed", 0)
                 m.model = rec.get("model", {})
@@ -200,18 +206,15 @@ def load_registry(manifest: Manifest, need_planner: bool = False) -> ExpertRegis
     return registry
 
 
-def _train_config(args, **overrides) -> TrainConfig:
-    cfg = TrainConfig(
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(
         learning_rate=args.lr,
         batch_size=args.batch_size,
         steps=args.steps,
         grad_clip=args.grad_clip,
         seed=args.seed,
         warmup_steps=args.warmup,
-    )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg.validate()
+    ).validate()
 
 
 def _write_curve(path: Path, curve) -> None:
@@ -416,9 +419,10 @@ def _load_workload(path: str, repetitions: int) -> Workload:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{p}:{i + 1}: bad workload record: {exc}") from exc
-        if not isinstance(rec, dict) or "domain" not in rec or "prompt" not in rec:
+        if not isinstance(rec, dict) or any(type(rec.get(k)) is not str
+                                            for k in ("domain", "prompt")):
             raise DatasetError(f"{p}:{i + 1}: a workload record is an object with "
-                               "domain and prompt")
+                               "string domain and prompt")
         items.append((rec["domain"], rec["prompt"]))
     if not items:
         raise DatasetError(f"workload {p} is empty")
@@ -438,7 +442,7 @@ def cmd_bench(args) -> int:
     for m in models.values():
         m.freeze()
     reports.append(run_mdme_baseline(models, workload, max_new=args.max_new))
-    if args.budget:
+    if args.budget is not None:
         reports.append(
             run_mdme_baseline(models, workload, resident_budget_bytes=args.budget,
                               max_new=args.max_new)

@@ -86,7 +86,6 @@ DOMAINS: dict[str, SyntheticDomain] = {
 }
 
 DOMAIN_NAMES = tuple(DOMAINS)
-TAG_TO_DOMAIN = {d.tag: d for d in DOMAINS.values()}
 # uppercase emits letters, so it cannot feed a later chain step
 CHAINABLE = tuple(n for n in DOMAIN_NAMES if n != "uppercase")
 
@@ -200,10 +199,6 @@ class CompositeTask:
     @property
     def text(self) -> str:
         return self.markers + TASK_SEP + self.payload
-
-    @property
-    def final(self) -> str:
-        return self.stages[-1]
 
 
 def sample_composite(rng: Rng, n_steps: int) -> CompositeTask:

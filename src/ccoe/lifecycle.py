@@ -32,7 +32,7 @@ from .model import (
 from .routing import MappingMatrix, PlannerExpert, deep_copy_planner
 from .rng import Rng
 
-BUDGET_FRACTION = 0.15
+BUDGET_FRACTION = Fraction(15, 100)  # an expert's most bytes, as a share of the backbone's
 
 
 @dataclass
@@ -61,7 +61,7 @@ class ExpertRegistry:
 
 
 def budget_limit_bytes(registry: ExpertRegistry) -> float:
-    return BUDGET_FRACTION * param_bytes(registry.backbone)
+    return float(BUDGET_FRACTION) * param_bytes(registry.backbone)
 
 
 def push(
@@ -85,7 +85,7 @@ def push(
     if cost > limit:
         raise BudgetError(
             f"expert {expert.expert_id} needs {cost} bytes, over the "
-            f"{BUDGET_FRACTION:.0%} budget of {limit:.0f}"
+            f"{float(BUDGET_FRACTION):.0%} budget of {limit:.0f}"
         )
     existing = registry.experts.get(expert.expert_id)
     if existing is not None and existing.domain != expert.domain:
@@ -142,10 +142,9 @@ def reduction(ccoe_bytes, ensemble_bytes) -> Fraction:
     return 1 - Fraction(ccoe_bytes) / Fraction(ensemble_bytes)
 
 
-def capped_deployment_bytes(backbone_bytes: int, n_experts: int,
-                            fraction: Fraction = Fraction(15, 100)):
+def capped_deployment_bytes(backbone_bytes: int, n_experts: int):
     """Analytic resident bytes with every expert exactly at the budget cap."""
-    return backbone_bytes * (1 + n_experts * fraction)
+    return backbone_bytes * (1 + n_experts * BUDGET_FRACTION)
 
 
 @dataclass(frozen=True)

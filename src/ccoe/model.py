@@ -7,6 +7,15 @@ own pre-norms) for a sorted set of backbone layer indices; at those positions
 the backbone's feed-forward sublayer is swapped out wholesale while attention
 stays shared. Parameters live in flat name->array dicts so training,
 serialization and digesting can treat every component uniformly.
+
+This module alone spells the parameter layout. ``attn_names`` and
+``ffn_names`` give each layer's tensor names, the latter pairing the
+backbone's feed-forward tensors with an expert's replacements for them;
+``backbone_param_shapes`` and ``expert_param_shapes`` give every tensor's
+shape in draw order; and one init rule fills them: norm gains are ones,
+biases zeros, matrices N(0, 0.02), with the residual-output projections
+(``attn.wo``, ``w2``) scaled down by sqrt(2 * n_layers) so residual-stream
+variance stays bounded with depth.
 """
 
 from __future__ import annotations
@@ -83,7 +92,7 @@ class ExpertSubnetwork:
 
     ``positions`` are the backbone layer indices whose feed-forward sublayer
     (and its pre-norm) this expert substitutes. Parameter keys are
-    ``p{idx}.{ln.g,ln.b,w1,b1,w2,b2}``.
+    ``ffn_names(i)[1]`` for each position ``i``.
     """
 
     expert_id: int
@@ -105,10 +114,6 @@ class ExpertSubnetwork:
         for arr in self.params.values():
             arr.flags.writeable = False
         return self
-
-    @property
-    def n_sublayers(self) -> int:
-        return len(self.positions)
 
 
 def backbone_param_count(config: ModelConfig) -> int:
@@ -134,32 +139,58 @@ def expert_param_count(config: ModelConfig, n_sublayers: int, inner_width: int) 
     return n_sublayers * per
 
 
+def attn_names(i: int) -> tuple[str, ...]:
+    """Layer ``i``'s attention block: (norm gain, norm bias, wq, wk, wv, wo)."""
+    return tuple(f"layers.{i}.{n}"
+                 for n in ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo"))
+
+
+def ffn_names(i: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Layer ``i``'s feed-forward sublayer: the backbone's tensor names and
+    an expert's replacements for them, each as (norm gain, norm bias, w1, b1,
+    w2, b2)."""
+    return (tuple(f"layers.{i}.{n}"
+                  for n in ("ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")),
+            tuple(f"p{i}.{n}" for n in ("ln.g", "ln.b", "w1", "b1", "w2", "b2")))
+
+
+def _ffn_shapes(d: int, width: int) -> tuple[tuple[int, ...], ...]:
+    return (d,), (d,), (d, width), (width,), (width, d), (d,)
+
+
 def backbone_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor ``init_backbone`` creates for ``config``."""
+    """Name -> shape of every backbone tensor for ``config``, in draw order."""
     c = config
     d = c.d_model
     shapes = {"embed": (c.vocab_size, d), "pos": (c.max_seq, d),
               "ln_f.g": (d,), "ln_f.b": (d,), "head": (d, c.vocab_size)}
     for i in range(c.n_layers):
-        pre = f"layers.{i}."
-        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,), pre + "ln2.g": (d,),
-                       pre + "ln2.b": (d,), pre + "ffn.w1": (d, c.d_ff), pre + "ffn.b1": (c.d_ff,),
-                       pre + "ffn.w2": (c.d_ff, d), pre + "ffn.b2": (d,)})
-        shapes.update({pre + f"attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")})
+        shapes.update(zip(attn_names(i), ((d,), (d,), (d, d), (d, d), (d, d), (d, d))))
+        shapes.update(zip(ffn_names(i)[0], _ffn_shapes(d, c.d_ff)))
     return shapes
 
 
 def expert_param_shapes(
     positions: tuple[int, ...], inner_width: int, d_model: int
 ) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor of an expert with these sublayers."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    for pos in positions:
-        pre = f"p{pos}."
-        shapes.update({pre + "ln.g": (d_model,), pre + "ln.b": (d_model,),
-                       pre + "w1": (d_model, inner_width), pre + "b1": (inner_width,),
-                       pre + "w2": (inner_width, d_model), pre + "b2": (d_model,)})
-    return shapes
+    """Name -> shape of every tensor of an expert with these sublayers, in
+    draw order."""
+    shapes = _ffn_shapes(d_model, inner_width)
+    return {n: s for pos in positions for n, s in zip(ffn_names(pos)[1], shapes)}
+
+
+def _draw(shapes: dict[str, tuple[int, ...]], rng: Rng, n_layers: int) -> Params:
+    """Tensors of ``shapes`` by the init rule (see the module docstring),
+    drawn from ``rng`` in ``shapes`` order."""
+    std = 0.02
+    resid_std = std / math.sqrt(2.0 * n_layers)
+    p: Params = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            p[name] = rng.normal(shape, resid_std if name.endswith(("wo", "w2")) else std)
+        else:
+            p[name] = (np.ones if name.endswith(".g") else np.zeros)(shape, dtype=np.float32)
+    return p
 
 
 def param_count(component) -> int:
@@ -172,36 +203,9 @@ def param_bytes(component) -> int:
 
 
 def init_backbone(config: ModelConfig, rng: Rng) -> BackboneModel:
-    """Fresh unfrozen backbone with GPT-style scaled normal init.
-
-    Residual-output projections (attention out, ffn out) are scaled down by
-    sqrt(2 * n_layers) so residual-stream variance stays bounded with depth.
-    """
+    """Fresh unfrozen backbone by the init rule."""
     c = config.validate()
-    std = 0.02
-    resid_std = std / math.sqrt(2.0 * c.n_layers)
-    p: Params = {
-        "embed": rng.normal((c.vocab_size, c.d_model), std),
-        "pos": rng.normal((c.max_seq, c.d_model), std),
-        "ln_f.g": np.ones(c.d_model, dtype=np.float32),
-        "ln_f.b": np.zeros(c.d_model, dtype=np.float32),
-        "head": rng.normal((c.d_model, c.vocab_size), std),
-    }
-    for i in range(c.n_layers):
-        pre = f"layers.{i}."
-        p[pre + "ln1.g"] = np.ones(c.d_model, dtype=np.float32)
-        p[pre + "ln1.b"] = np.zeros(c.d_model, dtype=np.float32)
-        p[pre + "attn.wq"] = rng.normal((c.d_model, c.d_model), std)
-        p[pre + "attn.wk"] = rng.normal((c.d_model, c.d_model), std)
-        p[pre + "attn.wv"] = rng.normal((c.d_model, c.d_model), std)
-        p[pre + "attn.wo"] = rng.normal((c.d_model, c.d_model), resid_std)
-        p[pre + "ln2.g"] = np.ones(c.d_model, dtype=np.float32)
-        p[pre + "ln2.b"] = np.zeros(c.d_model, dtype=np.float32)
-        p[pre + "ffn.w1"] = rng.normal((c.d_model, c.d_ff), std)
-        p[pre + "ffn.b1"] = np.zeros(c.d_ff, dtype=np.float32)
-        p[pre + "ffn.w2"] = rng.normal((c.d_ff, c.d_model), resid_std)
-        p[pre + "ffn.b2"] = np.zeros(c.d_model, dtype=np.float32)
-    return BackboneModel(config=c, params=p, frozen=False)
+    return BackboneModel(config=c, params=_draw(backbone_param_shapes(c), rng, c.n_layers))
 
 
 def validate_positions(config: ModelConfig, positions: tuple[int, ...]) -> None:
@@ -221,35 +225,19 @@ def init_expert(
     inner_width: int | None = None,
     warm_from: BackboneModel | None = None,
 ) -> ExpertSubnetwork:
-    """Fresh expert. With ``warm_from`` the sublayers start as exact copies of
-    the backbone's feed-forward sublayers at the same positions (requires
-    matching inner width), so the spliced model is initially bit-identical to
-    the base model."""
+    """Fresh expert by the init rule. With ``warm_from`` the sublayers start
+    as exact copies of the backbone's feed-forward sublayers at the same
+    positions (requires matching inner width), so the spliced model is
+    initially bit-identical to the base model."""
     validate_positions(config, tuple(positions))
     width = config.d_ff if (inner_width is None and warm_from is not None) else (inner_width or config.d_ff)
     if warm_from is not None and width != config.d_ff:
         raise ConfigError("warm-start requires inner_width == backbone d_ff")
-    d = config.d_model
-    std = 0.02
-    resid_std = std / math.sqrt(2.0 * config.n_layers)
-    p: Params = {}
-    for pos in positions:
-        pre = f"p{pos}."
-        if warm_from is not None:
-            src = warm_from.params
-            p[pre + "ln.g"] = src[f"layers.{pos}.ln2.g"].copy()
-            p[pre + "ln.b"] = src[f"layers.{pos}.ln2.b"].copy()
-            p[pre + "w1"] = src[f"layers.{pos}.ffn.w1"].copy()
-            p[pre + "b1"] = src[f"layers.{pos}.ffn.b1"].copy()
-            p[pre + "w2"] = src[f"layers.{pos}.ffn.w2"].copy()
-            p[pre + "b2"] = src[f"layers.{pos}.ffn.b2"].copy()
-        else:
-            p[pre + "ln.g"] = np.ones(d, dtype=np.float32)
-            p[pre + "ln.b"] = np.zeros(d, dtype=np.float32)
-            p[pre + "w1"] = rng.normal((d, width), std)
-            p[pre + "b1"] = np.zeros(width, dtype=np.float32)
-            p[pre + "w2"] = rng.normal((width, d), resid_std)
-            p[pre + "b2"] = np.zeros(d, dtype=np.float32)
+    if warm_from is None:
+        p = _draw(expert_param_shapes(positions, width, config.d_model), rng, config.n_layers)
+    else:
+        bp = warm_from.params
+        p = {en: bp[bn].copy() for pos in positions for bn, en in zip(*ffn_names(pos))}
     return ExpertSubnetwork(
         expert_id=expert_id, domain=domain, positions=tuple(positions),
         inner_width=width, params=p,

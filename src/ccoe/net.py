@@ -48,7 +48,7 @@ from .kernels import (
     segment_mask,
     tiles_queries,
 )
-from .model import BackboneModel, ExpertSubnetwork, validate_positions
+from .model import BackboneModel, ExpertSubnetwork, attn_names, ffn_names, validate_positions
 
 GradKey = tuple[str, str]  # (component, parameter name)
 
@@ -107,61 +107,42 @@ def token_row(tokens) -> np.ndarray:
     return np.asarray(tokens)[None]
 
 
-ATTN_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo")
-FFN_PARAMS = ("w1", "b1", "w2", "b2")
-
-
 @functools.cache
-def layer_names(n_layers: int) -> tuple[tuple[tuple[str, ...], ...], ...]:
-    """Per layer: the names of its attention block's tensors (``ATTN_PARAMS``
-    order), then those of its backbone feed-forward sublayer and of an
-    expert's replacement for it, each as (norm gain, norm bias, w1, b1, w2,
-    b2)."""
-    return tuple((tuple(f"layers.{i}.{n}" for n in ATTN_PARAMS),
-                  (f"layers.{i}.ln2.g", f"layers.{i}.ln2.b",
-                   *(f"layers.{i}.ffn.{w}" for w in FFN_PARAMS)),
-                  (f"p{i}.ln.g", f"p{i}.ln.b", *(f"p{i}.{w}" for w in FFN_PARAMS)))
-                 for i in range(n_layers))
-
-
-@functools.cache
-def _layer_getters(n_layers: int) -> tuple[tuple[itemgetter, ...], ...]:
-    """``layer_names`` as itemgetters: each fetches its tensors in one call."""
-    return tuple(tuple(itemgetter(*names) for names in layer) for layer in layer_names(n_layers))
-
-
-def ffn_sources(backbone: BackboneModel, expert: ExpertSubnetwork | None):
-    """Per-layer feed-forward parameter source: (component, params, names),
-    with ``names`` the sublayer's (norm gain, norm bias, w1, b1, w2, b2) in
-    ``params``."""
-    positions = expert.positions if expert is not None else ()
-    bp = backbone.params
-    return [("expert", expert.params, en) if i in positions else ("backbone", bp, bn)
-            for i, (_, bn, en) in enumerate(layer_names(backbone.config.n_layers))]
+def layer_table(n_layers: int) -> tuple[tuple, ...]:
+    """Per layer: the tensor names of its attention block, of its backbone
+    feed-forward sublayer and of an expert's replacement for it (see
+    ``model.attn_names`` and ``model.ffn_names``), then for each of the three
+    an itemgetter that fetches its tensors in one call."""
+    table = []
+    for i in range(n_layers):
+        names = (attn_names(i), *ffn_names(i))
+        table.append((*names, *(itemgetter(*n) for n in names)))
+    return tuple(table)
 
 
 def layer_weights(backbone: BackboneModel, expert: ExpertSubnetwork | None):
-    """Per layer: (its attention tensors in ``ATTN_PARAMS`` order, its
-    feed-forward tensors as (norm gain, norm bias, w1, b1, w2, b2)), the
-    latter the expert's at the expert's positions. Two dictionary fetches per
-    layer, through cached name tables."""
+    """Per layer: (its attention tensors, its feed-forward tensors), each in
+    ``layer_table``'s name order, the latter the expert's at the expert's
+    positions. Two itemgetter calls per layer."""
     p = backbone.params
     positions = expert.positions if expert is not None else ()
     return [(attn(p), expert_ffn(expert.params) if i in positions else ffn(p))
-            for i, (attn, ffn, expert_ffn) in enumerate(_layer_getters(backbone.config.n_layers))]
+            for i, (_, _, _, attn, ffn, expert_ffn)
+            in enumerate(layer_table(backbone.config.n_layers))]
 
 
-def _lowest_trainable_layer(n_layers: int, srcs, trainable: set[GradKey]):
+def _lowest_trainable_layer(layers, trainable: set[GradKey]):
     """(lowest layer holding a trainable tensor, whether that layer's
-    attention block holds one). The layer is -1 when the embeddings are
-    trainable and ``n_layers`` when no layer is."""
+    attention block holds one), for ``layers`` as ``backward_batch`` lists
+    them. The layer is -1 when the embeddings are trainable and
+    ``len(layers)`` when no layer is."""
     if ("backbone", "embed") in trainable or ("backbone", "pos") in trainable:
         return -1, True
-    for i, ((attn_names, _, _), (comp, _, ffn_names)) in enumerate(zip(layer_names(n_layers), srcs)):
+    for i, (attn_names, comp, _, ffn_names) in enumerate(layers):
         attn = any(("backbone", n) in trainable for n in attn_names)
         if attn or any((comp, n) in trainable for n in ffn_names):
             return i, attn
-    return n_layers, False
+    return len(layers), False
 
 
 def pack(lengths: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,8 +379,11 @@ def backward_batch(
         if need(comp, name):
             grads[(comp, name)] = val
 
-    srcs = ffn_sources(backbone, expert)
-    lowest, lowest_attn = _lowest_trainable_layer(c.n_layers, srcs, trainable)
+    # per layer: attention names, then the feed-forward's component, params and names
+    positions = expert.positions if expert is not None else ()
+    layers = [(an, "expert", expert.params, en) if i in positions else (an, "backbone", p, bn)
+              for i, (an, bn, en, _, _, _) in enumerate(layer_table(c.n_layers))]
+    lowest, lowest_attn = _lowest_trainable_layer(layers, trainable)
     tokens = tape["tokens"]
     b, t = tokens.shape
     hidden = tape["hidden"]  # rows, like every taped activation
@@ -419,11 +403,9 @@ def backward_batch(
     add("backbone", "ln_f.g", dg)
     add("backbone", "ln_f.b", db)
 
-    names = layer_names(c.n_layers)
     for i in reversed(range(max(lowest, 0), c.n_layers)):
         lt = tape["layers"][i]
-        ln1g, ln1b, wq, wk, wv, wo = names[i][0]
-        comp, fp, (ln2g, ln2b, w1, b1, w2, b2) = srcs[i]
+        (ln1g, ln1b, wq, wk, wv, wo), comp, fp, (ln2g, ln2b, w1, b1, w2, b2) = layers[i]
 
         # feed-forward block: x = x1 + f(ln(x1)); its input and GELU output
         # are rebuilt only for a weight gradient

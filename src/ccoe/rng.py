@@ -16,8 +16,6 @@ import numpy as np
 class Rng:
     """Deterministic random stream (NumPy PCG64)."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
@@ -38,9 +36,6 @@ class Rng:
 
     def choice(self, seq):
         return seq[int(self._gen.integers(0, len(seq)))]
-
-    def shuffle(self, seq: list) -> None:
-        self._gen.shuffle(seq)
 
     def uniform(self) -> float:
         return float(self._gen.random())

@@ -27,7 +27,7 @@ from . import domains as dom
 from .decoding import check_count, greedy_decode
 from .errors import GatingError, RoutingError, UnknownExpertError
 from .kernels import attention, attention_bwd, key_mask
-from .model import BackboneModel, ExpertSubnetwork, copy_params
+from .model import BackboneModel, ExpertSubnetwork, copy_params, deep_copy_expert, init_expert
 from .net import GradKey, backward_batch, forward_batch, pack, sum_rows_by
 from .rng import Rng
 from .tokenizer import EOS, decode
@@ -122,7 +122,7 @@ class PlannerExpert:
     expert: ExpertSubnetwork
     indicator_ids: list[int]  # ascending expert ids; indicators has one extra STOP row
     indicators: np.ndarray  # [n_experts + 1, d_model]
-    scorer: dict[str, np.ndarray]  # wq, wk, wv, wo [d,d]; fw [d]; fb [1]
+    scorer: dict[str, np.ndarray]  # shapes: scorer_param_shapes
     uncalibrated: set[int] = field(default_factory=set)
 
     def named_parameters(self) -> dict[str, np.ndarray]:
@@ -162,18 +162,18 @@ class PlannerExpert:
 
 def deep_copy_planner(planner: PlannerExpert) -> PlannerExpert:
     return PlannerExpert(
-        expert=ExpertSubnetwork(
-            expert_id=planner.expert.expert_id,
-            domain=planner.expert.domain,
-            positions=planner.expert.positions,
-            inner_width=planner.expert.inner_width,
-            params=copy_params(planner.expert.params),
-        ),
+        expert=deep_copy_expert(planner.expert),
         indicator_ids=list(planner.indicator_ids),
         indicators=planner.indicators.copy(),
         scorer=copy_params(planner.scorer),
         uncalibrated=set(planner.uncalibrated),
     )
+
+
+def scorer_param_shapes(d: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the scorer's tensors for model width ``d``: the
+    cross-attention projections, the score head's weights and its bias."""
+    return {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d), "fw": (d,), "fb": (1,)}
 
 
 def init_planner(
@@ -183,28 +183,20 @@ def init_planner(
     rng: Rng,
     warm_from: BackboneModel | None = None,
 ) -> PlannerExpert:
-    from .model import init_expert  # local import keeps module load order simple
-
     d = config.d_model
     expert = init_expert(
         config, -1, "planner", positions, rng.child("expert"), warm_from=warm_from
     )
-    n = len(expert_ids)
     # scorer projections at 1/sqrt(d) and indicators at 0.5 keep the initial
     # cross-attention sharp enough for gradients to reach the indicator rows
     proj_scale = 1.0 / math.sqrt(d)
     return PlannerExpert(
         expert=expert,
         indicator_ids=sorted(expert_ids),
-        indicators=rng.child("indicators").normal((n + 1, d), 0.5),
-        scorer={
-            "wq": rng.child("wq").normal((d, d), proj_scale),
-            "wk": rng.child("wk").normal((d, d), proj_scale),
-            "wv": rng.child("wv").normal((d, d), proj_scale),
-            "wo": rng.child("wo").normal((d, d), proj_scale),
-            "fw": rng.child("fw").normal((d,), proj_scale),
-            "fb": np.zeros(1, dtype=np.float32),
-        },
+        indicators=rng.child("indicators").normal((len(expert_ids) + 1, d), 0.5),
+        scorer={n: np.zeros(shape, dtype=np.float32) if n == "fb"
+                else rng.child(n).normal(shape, proj_scale)
+                for n, shape in scorer_param_shapes(d).items()},
         uncalibrated=set(),
     )
 

@@ -30,6 +30,9 @@ from .tokenizer import EOS, PAD, decode
 
 LN_EPS_DENOM = 1e-12
 EVAL_CHUNK = 64  # planner steps scored per forward pass in evaluate_planner
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
+MIN_LR_FRAC = 0.05  # the cosine schedule's floor, as a share of the peak rate
+SNAPSHOT_EVERY = 250  # steps between the snapshots a divergence falls back to
 
 
 @dataclass
@@ -39,13 +42,7 @@ class TrainConfig:
     steps: int = 2000
     grad_clip: float = 1.0
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     warmup_steps: int = 100
-    schedule: str = "cosine"  # "cosine" | "constant"
-    min_lr_frac: float = 0.05
-    snapshot_every: int = 250  # divergence fallback granularity
     log_every: int = 50
 
     def validate(self) -> "TrainConfig":
@@ -53,8 +50,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.schedule not in ("cosine", "constant"):
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
         return self
 
 
@@ -72,11 +67,9 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
     base = cfg.learning_rate
     if cfg.warmup_steps and step < cfg.warmup_steps:
         return base * (step + 1) / cfg.warmup_steps
-    if cfg.schedule == "constant":
-        return base
     span = max(1, cfg.steps - cfg.warmup_steps)
     prog = min(1.0, (step - cfg.warmup_steps) / span)
-    lo = base * cfg.min_lr_frac
+    lo = base * MIN_LR_FRAC
     return lo + 0.5 * (base - lo) * (1.0 + math.cos(math.pi * prog))
 
 
@@ -106,17 +99,17 @@ class Adam:
                 for g in grads.values():
                     g *= scale
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for key, g in grads.items():
             p = self.params[key]
             m = self.m[key]
             v = self.v[key]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def nll_loss(
@@ -218,7 +211,7 @@ def _run_training(
     (loss, accuracy, gradients), the gradients restricted to the key set
     ``trainable``. A step whose loss is non-finite, or whose ``loss_at``
     raises ``NumericError``, aborts the run with ``DivergenceError`` carrying
-    the latest snapshot of ``params`` (taken every ``cfg.snapshot_every``
+    the latest snapshot of ``params`` (taken every ``SNAPSHOT_EVERY``
     steps).
     """
     cfg.validate()
@@ -238,7 +231,7 @@ def _run_training(
         opt.step(grads, lr_at(cfg, step))
         if step % cfg.log_every == 0 or step == cfg.steps - 1:
             curve.append(LossRecord(step=step, loss=loss, token_accuracy=acc))
-        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
+        if step % SNAPSHOT_EVERY == 0:
             snapshot = {k: v.copy() for k, v in params.items()}
     return curve
 

@@ -12,7 +12,7 @@ from ccoe.bench import (
     run_ccoe,
     run_mdme_baseline,
 )
-from ccoe.errors import WorkloadError
+from ccoe.errors import ConfigError, WorkloadError
 from ccoe.lifecycle import ExpertRegistry
 from ccoe.model import ModelConfig, init_backbone, param_bytes
 from ccoe.rng import Rng
@@ -87,6 +87,12 @@ def test_mdme_under_a_one_model_budget_reloads_at_every_domain_change(models, mo
     domains = [d for d, _ in ALTERNATING.items] * 3
     assert len(loads) == 1 + sum(a != b for a, b in zip(domains, domains[1:]))
     assert report.per_switch_overhead_seconds > 0
+
+
+def test_mdme_budget_below_the_largest_model_raises_before_serving(models, monkeypatch):
+    monkeypatch.setattr(bench, "_serve", lambda *a: pytest.fail("served"))
+    with pytest.raises(ConfigError):
+        run_mdme_baseline(models, ALTERNATING, resident_budget_bytes=10, max_new=3)
 
 
 def test_zero_b_adapters_decode_the_base_models_tokens(registry, monkeypatch):

@@ -251,3 +251,35 @@ def test_a_record_length_of_2_to_the_40_is_refused_before_it_is_allocated(saved_
             load_checkpoint(path)
 
     assert traced_peak(load) <= largest + SLACK
+
+
+# digest and file SHA-256 of each freshly initialised component at the fixture
+# shape: names, shapes, dict order and random draws all feed these bits
+PINNED_INIT = {
+    "backbone": ("0aa19ff74ac6bb26f5fdf2be0b9006942c4cc3780a0c369544158600878b9606",
+                 "82736dfb5acc5e29251b2e5628bf4a0b7925367fd0fbf23b3847b2861a935e6e"),
+    "cold expert": ("b103bd04e0970b99d8593b7c845c769beaa939e762053e2f08b4209593f69d0d",
+                    "a9e11d08f4a5b677e9e0db0ad8efad5704279e79f67201e90e691900f7d977ca"),
+    "warm expert": ("f89f551ed2aa411832247146bf70e938972710cbcbc328d5c73647da5c944a9a",
+                    "d537b321b605eac66ab879219b562bef11bc04987ee1764741ea68509275a4f7"),
+    "planner": ("0408b6afe1d390d15464743efb61322cc817a003f9a510ed7f457c7b93943ea5",
+                "a9654bb86b2cd074611406e8b5edc8b765e1cbbea3accb278b4b485756829d3f"),
+}
+
+
+def test_initial_components_keep_their_pinned_bits(tmp_path, target_config):
+    rng = Rng(11686)
+    backbone = init_backbone(target_config, rng.child("backbone"))
+    built = {
+        "backbone": backbone,
+        "cold expert": init_expert(target_config, 3, "copy", (1, 6), rng.child("cold"),
+                                   inner_width=48),
+        "warm expert": init_expert(target_config, 4, "reverse", (0, 4), rng.child("warm"),
+                                   warm_from=backbone),
+        "planner": init_planner(target_config, [0, 2, 5], (2, 5), rng.child("planner")),
+    }
+    for name, component in built.items():
+        path = tmp_path / f"{name.replace(' ', '-')}.ccoe"
+        save_checkpoint(component, path)
+        got = (digest(component), hashlib.sha256(path.read_bytes()).hexdigest())
+        assert got == PINNED_INIT[name], name

@@ -61,6 +61,10 @@ def _backbone_manifest(tmp_path, backbone=None) -> Manifest:
     '{"record": "expert", "domain": "copy", "path": "e.ccoe"}',  # no id
     '{"record": "expert", "id": 0, "domain": "copy"}',  # no path
     '{"record": ["expert"]}',
+    '{"record": "mapping", "domain": "copy", "experts": ["x"]}',
+    '{"record": "mapping", "domain": "copy", "experts": 3}',
+    '{"record": "mapping", "domain": ["copy"], "experts": [0]}',
+    '{"record": "backbone", "path": 5}',
 ])
 def test_malformed_manifest_record_exits_with_data_error_naming_its_line(tmp_path, capsys, line):
     manifest = _backbone_manifest(tmp_path)
@@ -71,7 +75,13 @@ def test_malformed_manifest_record_exits_with_data_error_naming_its_line(tmp_pat
     assert f"{manifest.path}:{n}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["[1]", '"copy"', '{"domain": "copy"}'])
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '"copy"',
+    '{"domain": "copy"}',
+    '{"domain": "copy", "prompt": 5}',
+    '{"domain": ["copy"], "prompt": "ab"}',
+])
 def test_malformed_workload_record_exits_with_data_error_naming_its_line(tmp_path, capsys, line):
     manifest = _backbone_manifest(tmp_path)
     workload = tmp_path / "workload.jsonl"
@@ -79,6 +89,19 @@ def test_malformed_workload_record_exits_with_data_error_naming_its_line(tmp_pat
     argv = ["bench", "--manifest", str(manifest.path), "--workload", str(workload)]
     assert main(argv) == 2
     assert f"{workload}:2:" in capsys.readouterr().err
+
+
+def test_bench_with_a_zero_budget_exits_with_data_error(tmp_path, capsys):
+    manifest = _backbone_manifest(tmp_path)
+    save_checkpoint(init_expert(TINY, 0, "copy", (1,), Rng(6)), tmp_path / "expert.ccoe")
+    manifest.experts.append({"id": 0, "domain": "copy", "path": "expert.ccoe", "positions": [1]})
+    manifest.save()
+    workload = tmp_path / "workload.jsonl"
+    workload.write_text('{"domain": "copy", "prompt": "ab"}\n')
+    argv = ["bench", "--manifest", str(manifest.path), "--workload", str(workload),
+            "--repeat", "1", "--max-new", "1", "--budget", "0"]
+    assert main(argv) == 2  # ConfigError: a zero budget is not "no budget"
+    assert "resident budget of 0 bytes" in capsys.readouterr().err
 
 
 def test_report_memory_on_a_valid_manifest_exits_zero(tmp_path, capsys):

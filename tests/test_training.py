@@ -429,7 +429,7 @@ def test_zero_learning_rate_leaves_parameters_bit_unchanged():
     expert = init_expert(TRAIN_TINY, 0, "copy", (1,), rng.child("ex"), inner_width=10)
     before = {k: v.copy() for k, v in expert.params.items()}
     cfg = TrainConfig(learning_rate=1e-46, steps=5, batch_size=4, seed=1,
-                      warmup_steps=0, schedule="constant", grad_clip=0.0)
+                      warmup_steps=0, grad_clip=0.0)
     # learning_rate must be > 0 by contract; 1e-46 is below float32's smallest
     # subnormal (about 1.4e-45), so it rounds to 0 in the float32 update and
     # even the zero-initialised biases stay exactly 0
