@@ -31,7 +31,7 @@ from . import domains as dom
 from .decoding import check_count, greedy_decode
 from .errors import ConfigError, WorkloadError
 from .lifecycle import ExpertRegistry
-from .model import BackboneModel, backbone_param_shapes, init_expert, param_bytes
+from .model import BackboneModel, ModelConfig, backbone_param_shapes, init_expert, param_bytes
 from .rng import Rng
 from .routing import gate
 from .training import TrainConfig, evaluate_exact_match, train_expert
@@ -212,6 +212,8 @@ def run_mdme_baseline(
 
     unconstrained = resident_budget_bytes is None
     resident: dict[str, BackboneModel] = {}
+    # models of one shape share their workspaces, so a re-load allocates none
+    workspaces: dict[ModelConfig, dict] = {}
     peak = 0
 
     def resident_bytes() -> int:
@@ -225,9 +227,10 @@ def run_mdme_baseline(
         if not unconstrained:
             while resident and resident_bytes() + bytes_per[domain] > resident_budget_bytes:
                 resident.pop(next(iter(resident)))
-        resident[domain] = load_checkpoint(stores[domain])
+        model = resident[domain] = load_checkpoint(stores[domain])
+        model.workspaces = workspaces.setdefault(model.config, {})
         peak = max(peak, resident_bytes())
-        return resident[domain]
+        return model
 
     if unconstrained:
         for d in models:
@@ -283,11 +286,14 @@ def make_adapters(
 
 
 def materialize_adapter(backbone: BackboneModel, aset: AdapterSet) -> BackboneModel:
-    """Effective model with W + A@B on adapted maps; everything else shared."""
+    """Effective model with W + A@B on adapted maps; everything else shared,
+    the backbone's workspaces included, so a switch allocates none."""
     params = dict(backbone.params)
     for name, (a, b) in aset.pairs.items():
         params[name] = backbone.params[name] + a @ b
-    return BackboneModel(config=backbone.config, params=params, frozen=True)
+    model = BackboneModel(config=backbone.config, params=params, frozen=True)
+    model.workspaces = backbone.workspaces
+    return model
 
 
 def overlay_bytes(config) -> int:

@@ -40,8 +40,15 @@ from .bench import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .decoding import greedy_decode
 from .errors import CcoeError, ConfigError, DatasetError
-from .lifecycle import ExpertRegistry, attach_planner, memory_report, pop_copy, pop_remove, push
-from .model import BackboneModel, ExpertSubnetwork, ModelConfig, init_backbone, init_expert
+from .lifecycle import (
+    ExpertRegistry,
+    attach_planner,
+    memory_report,
+    pop_copy,
+    pop_remove,
+    push_checkpoint,
+)
+from .model import BackboneModel, ModelConfig, init_backbone, init_expert
 from .rng import Rng
 from .routing import PlannerExpert, execute_plan, gate, init_planner
 from .tokenizer import EOS, decode
@@ -184,7 +191,7 @@ def load_registry(manifest: Manifest, need_planner: bool = False) -> ExpertRegis
         raise ConfigError("backbone record does not point at a backbone checkpoint")
     registry = ExpertRegistry(backbone=backbone, seed=manifest.seed)
     for rec in manifest.experts:
-        push(registry, manifest.resolve(rec["path"]))
+        push_checkpoint(registry, manifest.resolve(rec["path"]), rec["id"])
     for row in manifest.mapping:
         for eid in row["experts"]:
             registry.mapping.associate(row["domain"], int(eid))
@@ -318,12 +325,8 @@ def cmd_push(args) -> int:
     manifest = Manifest.load(args.manifest)
     with manifest_lock(manifest.path):
         registry = load_registry(manifest)
-        expert = load_checkpoint(args.checkpoint)
-        if not isinstance(expert, ExpertSubnetwork):
-            raise ConfigError(f"{args.checkpoint} is not an expert checkpoint")
-        if args.id is not None:
-            expert.expert_id = args.id
-        push(registry, expert)  # validates budget + positions before any mutation
+        # validates budget + positions before any mutation
+        expert = push_checkpoint(registry, args.checkpoint, args.id)
         rel = os.path.relpath(Path(args.checkpoint).resolve(), manifest.base.resolve())
         manifest.experts = [e for e in manifest.experts if e["id"] != expert.expert_id]
         manifest.experts.append({

@@ -1,26 +1,18 @@
 """Incremental greedy decoding with a per-sequence KV cache.
 
-The cache holds the keys and values of one request's positions, keys
-stored keys-major so that attention multiplies the queries by them without a
-transposed view. Prefill fills the prompt's positions in one
-``forward_batch`` pass, whose last layer, once its keys and values are
-cached, carries only the last row on to the logits; a prompt longer than
-``2 * kernels.TILE`` tokens is attended in causal query tiles, each scoring
-only the keys its queries can see (see ``kernels.attention``). Each decode
-step is a one-token ``forward_batch`` pass that appends exactly one position
-per layer, so cache length always equals the number of tokens processed.
-Training, planner scoring, prefill and decode all run the same block. A
-decode step's lone row ([d]) takes the block's lean lane: weights fetched
-once per pass from cached name tables, 1-D dense products through
-``np.dot``, and attention over the cache's per-head views with no copy.
-The no-cache path recomputes the full forward every step and must produce
-identical token sequences; tests hold the cached path to that oracle.
+A cached request prefills its prompt with one ``forward_batch`` pass over a
+``KvCache``, then decodes one token per pass, each appending one position
+per layer, so the cache length always equals the number of tokens
+processed. The no-cache path recomputes the full forward every step and
+emits the same tokens; tests hold the cached path to that oracle.
 
-A cache's arrays are cut from one flat block. ``greedy_decode`` keeps the
-block of its last finished request, one per model shape and dtype for the
-life of the process, and cuts the next request's cache from it, so a
-request does not allocate and free its keys and values each time (1 MiB at
-8 layers, d_model 64 and max_seq 256).
+Workspace contract: a cached ``greedy_decode`` takes the model's spare
+``net.Workspace`` for the whole request (``net.take_workspace``), cuts its
+cache from the workspace's KV block, and gives it back whether the request
+returns or raises, so a concurrent request on the same model gets a
+workspace of its own. The prefill writes its temporaries into the same
+workspace and reads nothing an earlier request left there: its logits and
+cache entries are bit-identical to a pass that allocates them.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ import numpy as np
 
 from .errors import CcoeError, SequenceLengthError
 from .model import BackboneModel, ExpertSubnetwork
-from .net import check_token_ids, forward_batch, token_row
+from .net import Workspace, check_token_ids, forward_batch, give_back, take_workspace, token_row
 from .tokenizer import EOS
 
 
@@ -41,25 +33,18 @@ def check_count(value, what: str, error: type[CcoeError] = SequenceLengthError) 
     return int(value)
 
 
-# the block of each model shape's last finished greedy_decode cache
-_SPARE: dict[tuple, np.ndarray] = {}
-
-
-def _block_key(model: BackboneModel) -> tuple:
-    c = model.config
-    return c.n_layers, c.d_model, c.max_seq, model.params["embed"].dtype
-
-
 class KvCache:
     """Per-layer cached keys/values for one in-flight decode.
 
     ``capacity`` positions (default: the model's ``max_seq``) are laid out
-    up front in ``block``, a flat array of ``2 * n_layers`` stretches of
-    ``max_seq * d_model`` values, one per layer's keys and one per layer's
-    values; each array is the first ``capacity * d_model`` values of its
-    stretch, so one block serves a cache of any capacity. A block passed in
-    (see ``greedy_decode``) is used as it is: the positions a pass has not
-    written are never read. Keys are keys-major: ``k[i]`` is
+    up front in the KV block of ``workspace`` (a new ``net.Workspace`` when
+    None), a flat array of ``2 * n_layers`` stretches of ``max_seq *
+    d_model`` values, one per layer's keys and one per layer's values; each
+    array is the first ``capacity * d_model`` values of its stretch, so one
+    block serves a cache of any capacity. The block is used as it is: the
+    positions a pass has not written are never read. A multi-row pass over
+    the cache writes its temporaries into the same workspace, so the cache
+    holds it for its request alone. Keys are keys-major: ``k[i]`` is
     [n_heads, head_dim, capacity], so the score product multiplies the
     queries by ``k[i][..., :n]`` as a plain row-major matrix per head.
     ``k_rows[i]`` is a token-major [capacity, d_model] view of the same
@@ -70,14 +55,15 @@ class KvCache:
     """
 
     def __init__(self, model: BackboneModel, capacity: int | None = None,
-                 block: np.ndarray | None = None):
+                 workspace: Workspace | None = None):
         c = model.config
         capacity = c.max_seq if capacity is None else check_count(capacity, "cache capacity")
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
         span = c.max_seq * c.d_model
-        if block is None:
-            block = np.empty(2 * c.n_layers * span, dtype=model.params["embed"].dtype)
+        if workspace is None:
+            workspace = Workspace(c, model.params["embed"].dtype)
+        block = workspace.buffers["kv"]
         hd = c.d_model // c.n_heads
         n = capacity * c.d_model
         keys = [block[i * span:i * span + n].reshape(c.d_model, capacity)
@@ -87,7 +73,7 @@ class KvCache:
         self.v = [block[i * span:i * span + n].reshape(capacity, c.d_model)
                   for i in range(c.n_layers, 2 * c.n_layers)]
         self.v_heads = [a.reshape(capacity, c.n_heads, hd).transpose(1, 0, 2) for a in self.v]
-        self.block = block
+        self.workspace = workspace
         self.capacity = capacity
         self.length = 0
 
@@ -133,9 +119,10 @@ def greedy_decode(
     vocabulary (a float, a str, a bool) raises ``TokenIdError``, and an
     empty prompt ``SequenceLengthError``.
 
-    The cache is cut from the block the last finished request of this model
-    shape left behind, when there is one, and its block is left behind in
-    turn, whether the request returns or raises.
+    A cached request takes the model's spare workspace for itself
+    (``net.take_workspace``), cuts its cache from it and gives it back
+    whether it returns or raises, so a concurrent request on the same model
+    gets a workspace of its own. Its tokens are those of a fresh workspace.
     """
     if len(prompt) == 0:
         raise SequenceLengthError("prompt must be nonempty")
@@ -148,13 +135,13 @@ def greedy_decode(
     check_token_ids(tokens, model.config.vocab_size, "prompt")
     if not use_cache:
         return _continue(model, expert, tokens, max_new, None, stop_token)
-    key = _block_key(model)
-    # the last generated token is never fed back, so it needs no cache position
-    cache = KvCache(model, len(prompt) + max_new - 1, _SPARE.pop(key, None))
+    ws = take_workspace(model)
     try:
+        # the last generated token is never fed back, so it needs no cache position
+        cache = KvCache(model, len(prompt) + max_new - 1, ws)
         return _continue(model, expert, tokens, max_new, cache, stop_token)
     finally:
-        _SPARE[key] = cache.block
+        give_back(model, ws)
 
 
 def _continue(model, expert, tokens, max_new, cache, stop_token) -> list[int]:

@@ -1,39 +1,28 @@
 """Deterministic numeric kernels of the transformer block.
 
 The layer norm, causal scaled dot-product attention and the tanh-form GELU,
-each with the gradient its backward pass needs; ``net.forward_batch`` and
+each with the gradient its backward pass needs. ``net.forward_batch`` and
 ``net.backward_batch`` call them for training, planner scoring, prefill and
 decode alike, and the planner's scorer (``routing.score_batch``) runs its
 cross-attention through ``attention`` and ``attention_bwd`` with one head.
 ``layer_norm`` is the forward layer norm with its eps and finiteness checks,
 which the oracle tests hold to a float64 reference. ``layer_norm_out``,
-``gelu_tanh`` and ``gelu_from_tanh`` repeat parts of the forward kernels
-operation for operation, so that a backward pass rebuilds what its tape does
-not keep bit for bit; a test holds each equal to the output it replaces.
-Attention over more than one query row lays its scores out keys-first,
-[keys, heads, rows, queries], so that the softmax's passes over the short key
-axis run over whole contiguous slices; the masks (``causal_mask``,
-``segment_mask``, ``key_mask``) come in that layout.
+``gelu_tanh`` and ``gelu_from_tanh`` rebuild outputs of the forward kernels
+bit for bit, for a backward pass whose tape does not keep them; a test holds
+each equal to the output it replaces.
 
-A long causal pass over one sequence without a tape (``tiles_queries``: more
-than ``2 * TILE`` queries) runs its queries in tiles at most ``TILE`` wide.
-Each tile scores only the keys its queries can see and masks only its
-diagonal block, so no full causal mask is built and no score that the mask
-would hide is computed outside that block. Taped, packed and shorter passes
-are one tile with a full mask.
+Every kernel is a pure function of its inputs, bit-identical across calls,
+and dtype-agnostic: the parameters' dtype (float32, or float64 when tests
+feed 64-bit copies) sets the computation's. Attention over more than one
+query row lays its scores out keys-first, [keys, heads, rows, queries], and
+the masks (``causal_mask``, ``segment_mask``, ``key_mask``) come in that
+layout. A lone row ([d], a decode step) takes each kernel's lean 1-D form.
 
-A lone row ([d], a decode step) goes through each kernel in as few NumPy
-calls as its arithmetic allows, because at one row each call's fixed cost,
-not the arithmetic, sets the time: the layer norm reduces to scalars,
-attention works on [h, 1, hd] per-head views, and GELU's and attention's
-constants are 0-d arrays of the operand's dtype (``_constant``), which NumPy
-applies faster than Python floats, bit for bit alike.
-
-Every kernel is a pure function and bit-identical across calls for identical
-inputs. Every kernel is dtype-agnostic, so the same code runs in float64
-when tests feed 64-bit parameter copies: scalar constants are Python floats,
-which never promote float32 arrays, or ``_constant`` arrays of the operand's
-dtype.
+Output buffers: ``layer_norm_fwd`` and ``gelu_fwd`` take ``out`` arrays,
+and ``attention`` a flat ``scratch`` array, and write into them what they
+would otherwise allocate (``net.Workspace`` supplies them). The caller owns
+the buffers and lends them to one call at a time. No value already in a
+buffer is read, and the results are the same bits with or without them.
 """
 
 from __future__ import annotations
@@ -58,7 +47,8 @@ def _constant(dtype: np.dtype, value: float) -> np.ndarray:
     return c
 
 
-def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5,
+                   out: tuple[np.ndarray, np.ndarray] | None = None):
     """Layer norm over the last axis; also returns (xh, inv, gain) for
     ``layer_norm_bwd``, with ``inv`` shaped [..., 1].
 
@@ -68,20 +58,28 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     IEEE operations at a lower per-call cost than [1] arrays. Its
     ``inv`` becomes a [1] array before it scales the row, which NumPy does
     faster than by a scalar and which the backward pass takes as it is.
+
+    ``out``, two arrays shaped like ``x``, receives the output and ``xh``
+    (the former also holds the squares of the centred rows on the way), by
+    the same operations, so bit for bit.
     """
     n = x.shape[-1]
     keep = x.ndim > 1
     mu = np.add.reduce(x, axis=-1, keepdims=keep)
     mu /= n
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=keep)
+    if out is None:
+        xc = x - mu
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=keep)
+    else:
+        xc = np.subtract(x, mu, out=out[1])
+        var = np.add.reduce(np.multiply(xc, xc, out=out[0]), axis=-1, keepdims=keep)
     var /= n
     var += eps
     inv = 1.0 / np.sqrt(var)
     if not keep:
         inv = inv[None]
     xc *= inv
-    out = xc * gain
+    out = xc * gain if out is None else np.multiply(xc, gain, out=out[0])
     out += bias
     return out, (xc, inv, gain)
 
@@ -160,10 +158,14 @@ def segment_mask(positions: np.ndarray) -> np.ndarray:
     return _additive(hidden)[:, None]
 
 
-def key_mask(hidden: np.ndarray) -> np.ndarray:
+def key_mask(hidden: np.ndarray) -> np.ndarray | None:
     """Keys-first additive mask that hides the same keys from every query of
     a row: ``hidden`` [b, s] is True where row r's queries may not see key
-    j; returns a float32 [s, 1, b, 1] array, -inf there and 0 elsewhere."""
+    j; returns a float32 [s, 1, b, 1] array, -inf there and 0 elsewhere, or
+    None when no key is hidden, which ``attention`` takes as no mask, with
+    the same scores."""
+    if not hidden.any():
+        return None
     return _additive(hidden.T)[:, None, :, None]
 
 
@@ -207,9 +209,20 @@ def _value_heads(v: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     return _heads(v, b, n_heads) if v.ndim < 3 else v[None]
 
 
+def _carve(scratch: np.ndarray | None, shape: tuple[int, ...], dtype) -> tuple:
+    """(the first prod(``shape``) values of the flat ``scratch`` as a C-ordered
+    array of ``shape``, the rest of ``scratch``); a new array, and ``scratch``
+    as it is, when ``scratch`` is None or too short."""
+    n = math.prod(shape)
+    if scratch is None or len(scratch) < n:
+        return np.empty(shape, dtype=dtype), scratch
+    return scratch[:n].reshape(shape), scratch[n:]
+
+
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
               future: np.ndarray | None = None, keep_weights: bool = True,
-              causal: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+              causal: bool = False, scratch: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None]:
     """Scaled dot-product attention of ``b`` sequences of token-major rows.
 
     ``q`` is [b*t, d] (one query row may be [d]). ``k`` and ``v`` each come
@@ -221,41 +234,25 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
       keys-major [n_heads, head_dim, s], values a heads-major
       [n_heads, s, head_dim] view.
 
-    Heads are contiguous slices of the feature axis, taken as views. The
-    1/sqrt(head_dim) scale multiplies the queries, not the scores.
-
-    With more than one query row the scores are laid out keys-first,
-    [s, h, b, t]: the score product writes them through a [b, h, s, t] view,
-    and the mask, the max, the exp and the sum over keys are elementwise
-    passes over whole [h, b, t] slices instead of reductions along rows
-    only ``s`` long. ``future`` is the additive keys-first mask of
-    ``causal_mask``, ``segment_mask`` or ``key_mask``, built once per pass.
-
-    ``causal`` takes the place of ``future`` for a pass that
+    Heads are contiguous slices of the feature axis. ``future`` is an
+    additive keys-first mask (``causal_mask``, ``segment_mask`` or
+    ``key_mask``) or None. ``causal`` takes its place for a pass that
     ``tiles_queries``: the ``t`` query rows of one sequence are its last
-    ``t`` positions, and each sees the keys up to its own. The queries then
-    run in n = ``ceil(t / TILE)`` tiles of nearly equal width, none wider
-    than ``TILE`` and none a lone row. Tile j starts at row
-    ``TILE_STEP * ceil(j * t / (n * TILE_STEP))``, a multiple of the row
-    blocks of BLAS's matrix kernels, so that each score comes out of the
-    same kernel lane as in one tile. A tile scores only the keys up to its
-    last query and masks only its diagonal block, the tile's own positions,
-    with a slice of one cached triangle (``_triangle``); every key before
-    that block is visible to all its rows. The scores one tile computes
-    beyond a tile's keys are masked to exact zeros in its sums, so the
-    tiled context rows equal the one-tile path's bit for bit wherever BLAS
-    takes both products with the same kernels.
-
-    A lone query row [d] (a decode step, or the last layer of a cached
-    pass) sees every key and takes a lean lane: one [h, 1, hd] reshape of
-    the queries, a ``_constant`` scale of their dtype, [h, 1, s] scores
-    reduced along the keys, and one reshape of the [h, 1, hd] context back
-    to [d].
+    ``t`` positions, each seeing the keys up to its own, and they run in
+    tiles of at most ``TILE`` rows starting on multiples of ``TILE_STEP``.
+    The tiled context rows equal the one-tile pass's bit for bit wherever
+    BLAS takes both products with the same kernels, which tests check.
 
     Returns (context rows shaped like ``q``, weights as a [b, h, t, s]
     view). Without ``keep_weights`` the weights are left unnormalised, the
-    [b, h, t, hd] context is divided by their sums instead, and the weights
-    come back as None.
+    context is divided by their sums instead, and the weights come back as
+    None.
+
+    ``scratch``, a flat array of ``q``'s dtype, holds what a pass of more
+    than one query row would otherwise allocate: the scaled queries, the
+    context rows (which are then returned as a view of it), the weights'
+    sums and the score tile, carved from it in that order. Whatever does not
+    fit is allocated. The values are the same bits either way.
     """
     hd = q.shape[-1] // n_heads
     scale = 1.0 / math.sqrt(hd)
@@ -278,39 +275,44 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     # the scaled queries as a contiguous [b, h, hd, t]: multiplying the keys
     # by a transposed view of them takes about twice as long
     qt = _heads(q, b, n_heads).transpose(0, 1, 3, 2)
-    qt = np.multiply(qt, scale, out=np.empty(qt.shape, dtype=q.dtype))
+    buf, scratch = _carve(scratch, qt.shape, q.dtype)
+    qt = np.multiply(qt, scale, out=buf)
     kh = _key_heads(k, b, n_heads)
     vh = _value_heads(v, b, n_heads)
     # heads write their context straight into token-major rows
-    ctx = np.empty(q.shape, dtype=q.dtype)
+    ctx, scratch = _carve(scratch, q.shape, q.dtype)
     ctxh = _heads(ctx, b, n_heads)
+    t, s = qt.shape[-1], kh.shape[-2]
+    norm, scratch = _carve(scratch, (n_heads, b, t), q.dtype)
     if not causal:
-        probs, norm = _attend(qt, kh, vh, future, keep_weights, ctxh)
+        probs, norm = _attend(qt, kh, vh, future, keep_weights, ctxh, norm, scratch)
         if keep_weights:
             return ctx, probs
     else:
-        t, s = qt.shape[-1], kh.shape[-2]
         n = -(-t // TILE)
         edges = [-(-t * j // (n * TILE_STEP)) * TILE_STEP for j in range(n)] + [t]
         diagonal = _triangle(TILE)
-        norm = np.empty((n_heads, b, t), dtype=q.dtype)
         for first, end in zip(edges, edges[1:]):
             w, keys = end - first, s - t + end
             _attend(qt[..., first:end], kh[:, :, :keys], vh[:, :, :keys], diagonal[:w, :, :, :w],
-                    False, ctxh[:, :, first:end], norm[..., first:end])
-    ctxh /= norm.transpose(1, 0, 2)[..., None]
+                    False, ctxh[:, :, first:end], norm[..., first:end], scratch)
+    # through a [rows, h, hd] view of the rows, which NumPy walks with one
+    # iteration buffer where the [b, h, t, hd] view takes two
+    ctx3 = ctx.reshape(-1, n_heads, hd)
+    ctx3 /= norm.reshape(n_heads, -1).T[..., None]
     return ctx, None
 
 
-def _attend(qt, kh, vh, mask, keep_weights, ctxh, norm=None):
+def _attend(qt, kh, vh, mask, keep_weights, ctxh, norm, scratch):
     """The softmax attention of ``attention`` over one tile of queries:
     scaled queries ``qt`` [b, h, hd, t], keys ``kh`` and values ``vh``
     [b, h, s, hd], and an additive keys-first ``mask`` (or None) over the
     last ``len(mask)`` keys. Writes the context into the [b, h, t, hd] view
-    ``ctxh`` and the weights' sums into ``norm`` [h, b, t] (a new array when
-    None); returns (weights as a [b, h, t, s] view, their sums)."""
+    ``ctxh`` and the weights' sums into ``norm`` [h, b, t]; the scores are
+    carved from ``scratch`` (see ``_carve``). Returns (weights as a
+    [b, h, t, s] view, their sums)."""
     b, h, _, t = qt.shape
-    scores = np.empty((kh.shape[-2], h, b, t), dtype=qt.dtype)
+    scores, _ = _carve(scratch, (kh.shape[-2], h, b, t), qt.dtype)
     np.matmul(kh, qt, out=scores.transpose(2, 1, 0, 3))
     if mask is not None:
         scores[len(scores) - len(mask):] += mask
@@ -374,7 +376,8 @@ def _gelu_constants(dtype: np.dtype) -> tuple[np.ndarray, ...]:
     return tuple(_constant(dtype, c) for c in (GELU_C0 * GELU_C1, GELU_C0, 1.0, 0.5))
 
 
-def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gelu_fwd(x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Smooth GELU (tanh form); also returns tanh(u) for reuse in the backward
     pass. Written with in-place ops: these arrays sit on the training hot path.
 
@@ -383,14 +386,15 @@ def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     constants are 0-d arrays of ``x``'s dtype (see ``_constant``).
     ``gelu_tanh`` and ``gelu_from_tanh`` repeat its two halves, so that a
     backward pass rebuilds either output from ``x`` bit for bit without a
-    new call on the forward's path."""
+    new call on the forward's path. ``out``, two arrays shaped like ``x``,
+    receives the output and tanh(u) by the same operations."""
     c01, c0, one, half = _gelu_constants(x.dtype)
-    u = x * x
+    u = x * x if out is None else np.multiply(x, x, out=out[1])
     u *= c01
     u += c0
     u *= x
     np.tanh(u, out=u)
-    y = u + one
+    y = u + one if out is None else np.add(u, one, out=out[0])
     y *= x
     y *= half
     return y, u

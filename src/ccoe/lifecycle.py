@@ -12,6 +12,8 @@ loaded.
 The accounting model counts resident parameter bytes (4 per float32) and backs
 the deployment comparison: one shared backbone plus small overlays versus one
 full model per domain versus adapters plus per-switch re-materialization.
+The memory report shows the backbone's workspace (``net.Workspace``) beside
+them as a runtime row, outside the parameter total and the comparisons.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     param_bytes,
     validate_positions,
 )
+from .net import workspace_bytes
 from .routing import MappingMatrix, PlannerExpert, deep_copy_planner
 from .rng import Rng
 
@@ -71,14 +74,35 @@ def push(
 
     Validation (positions, budget, domain consistency) happens before any
     mutation. A new id also gets a mapping association and a fresh, randomly
-    initialized planner indicator row flagged uncalibrated.
+    initialized planner indicator row flagged uncalibrated. An expert object
+    is registered as a copy; a checkpoint path is pushed as
+    ``push_checkpoint`` pushes it, under the id it was saved with.
     """
-    owned = not isinstance(expert, ExpertSubnetwork)
-    if owned:
-        loaded = load_checkpoint(expert)
-        if not isinstance(loaded, ExpertSubnetwork):
-            raise ConfigError(f"checkpoint at {expert} is not an expert")
-        expert = loaded
+    if isinstance(expert, ExpertSubnetwork):
+        _admit(registry, expert, owned=False)
+    else:
+        push_checkpoint(registry, expert, None)
+    return registry
+
+
+def push_checkpoint(
+    registry: ExpertRegistry, path: str | PathLike, expert_id: int | None
+) -> ExpertSubnetwork:
+    """Push the expert checkpoint at ``path`` as ``push`` does, registered as
+    loaded, without a copy, under ``expert_id`` (None: the id it was saved
+    with). Returns the registered expert. A checkpoint that is not an expert
+    raises ``ConfigError``."""
+    expert = load_checkpoint(path)
+    if not isinstance(expert, ExpertSubnetwork):
+        raise ConfigError(f"checkpoint at {path} is not an expert")
+    if expert_id is not None:
+        expert.expert_id = expert_id
+    return _admit(registry, expert, owned=True)
+
+
+def _admit(registry: ExpertRegistry, expert: ExpertSubnetwork, owned: bool) -> ExpertSubnetwork:
+    """Validate, then register ``expert``, or a copy of it unless ``owned``;
+    returns what was registered."""
     validate_positions(registry.backbone.config, expert.positions)
     cost = param_bytes(expert)
     limit = budget_limit_bytes(registry)
@@ -102,7 +126,7 @@ def push(
             registry.planner.add_indicator(
                 expert.expert_id, Rng(registry.seed).child("indicator", expert.expert_id)
             )
-    return registry
+    return incoming
 
 
 def pop_copy(registry: ExpertRegistry, expert_id: int) -> ExpertSubnetwork:
@@ -149,16 +173,22 @@ def capped_deployment_bytes(backbone_bytes: int, n_experts: int):
 
 @dataclass(frozen=True)
 class MemoryReport:
+    """Resident parameter bytes per component, their total and the two
+    deployment comparisons, which count parameters only. ``runtime`` rows
+    (the backbone's workspace) are shown beside them and are in neither."""
+
     rows: tuple[tuple[str, int], ...]
     total: int
     mdme_equal_bytes: int
     mdme_equal_reduction: Fraction
     capped_total: Fraction
     capped_reduction: Fraction
+    runtime: tuple[tuple[str, int], ...] = ()
 
     def records(self) -> list[dict]:
         recs = [{"component": name, "bytes": b} for name, b in self.rows]
         recs.append({"component": "total", "bytes": self.total})
+        recs += [{"runtime": name, "bytes": b} for name, b in self.runtime]
         recs.append({
             "comparison": "mdme_equal_size",
             "ensemble_bytes": self.mdme_equal_bytes,
@@ -172,10 +202,12 @@ class MemoryReport:
         return recs
 
     def table(self) -> str:
-        width = max(len(name) for name, _ in self.rows + (("total", 0),))
+        width = max(len(name) for name, _ in self.rows + self.runtime + (("total", 0),))
         lines = [f"{name:<{width}}  {b:>12,d}" for name, b in self.rows]
         lines.append("-" * (width + 14))
         lines.append(f"{'total':<{width}}  {self.total:>12,d}")
+        lines += [f"{name:<{width}}  {b:>12,d}  (runtime, not in total)"
+                  for name, b in self.runtime]
         lines.append(
             f"vs equal-size ensemble ({self.mdme_equal_bytes:,d} bytes): "
             f"reduction {float(self.mdme_equal_reduction):.1%}"
@@ -191,7 +223,8 @@ def memory_report(registry: ExpertRegistry) -> MemoryReport:
     ledger = registry.ledger()
     rows = tuple(ledger.items())
     total = sum(ledger.values())
-    bb = param_bytes(registry.backbone)
+    backbone = registry.backbone
+    bb = param_bytes(backbone)
     n = max(len(registry.experts), 1)
     mdme = n * bb
     capped = capped_deployment_bytes(bb, n)
@@ -202,4 +235,5 @@ def memory_report(registry: ExpertRegistry) -> MemoryReport:
         mdme_equal_reduction=reduction(total, mdme) if mdme else Fraction(0),
         capped_total=capped,
         capped_reduction=reduction(capped, mdme) if mdme else Fraction(0),
+        runtime=(("workspace", workspace_bytes(backbone.config, backbone.params["embed"].dtype)),),
     )

@@ -70,11 +70,17 @@ class ModelConfig:
 
 @dataclass
 class BackboneModel:
-    """The shared decoder stack. Once frozen, its arrays are read-only."""
+    """The shared decoder stack. Once frozen, its arrays are read-only.
+
+    ``workspaces`` is runtime state, not a parameter: per dtype, the spare
+    ``net.Workspace`` of the model (see ``net.take_workspace``). It is
+    outside equality, ``param_bytes``, digests and checkpoints, and a copy
+    of the model (``deep_copy_backbone``) starts without it."""
 
     config: ModelConfig
     params: Params
     frozen: bool = False
+    workspaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def named_parameters(self) -> Params:
         return self.params

@@ -21,6 +21,11 @@ own operations on the same inputs (selective activation recomputation,
 Korthikanti et al., arXiv 2205.05198), so every rebuilt value, and every
 gradient, is bit-identical to a pass that taped it.
 
+A ``Workspace`` holds one request's KV block and the per-layer temporaries
+of a multi-row untaped pass over one row, so that such a pass allocates
+nothing (see ``forward_batch``). It is runtime state kept on the model
+(``BackboneModel.workspaces``), not a parameter.
+
 All code is dtype-agnostic: parameter dtype (float32 in production, float64 in
 finite-difference tests) decides the computation dtype. Scalar constants are
 Python floats so they never promote float32 arrays.
@@ -29,12 +34,14 @@ Python floats so they never promote float32 arrays.
 from __future__ import annotations
 
 import functools
+import math
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, SequenceLengthError, TokenIdError
 from .kernels import (
+    TILE,
     attention,
     attention_bwd,
     causal_mask,
@@ -48,9 +55,103 @@ from .kernels import (
     segment_mask,
     tiles_queries,
 )
-from .model import BackboneModel, ExpertSubnetwork, attn_names, ffn_names, validate_positions
+from .model import (
+    BackboneModel,
+    ExpertSubnetwork,
+    ModelConfig,
+    attn_names,
+    ffn_names,
+    validate_positions,
+)
 
 GradKey = tuple[str, str]  # (component, parameter name)
+
+
+def workspace_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of each buffer of a ``Workspace`` for ``c``: one
+    request's KV block, then the temporaries of a pass of up to ``max_seq``
+    rows. Every temporary lives within one layer, so these serve all
+    layers."""
+    r, d, h = c.max_seq, c.d_model, c.n_heads
+    return {
+        "kv": (2 * c.n_layers * r * d,),  # decoding.KvCache's keys and values
+        "x": (r, d),  # a layer's input rows, then its output rows
+        "x1": (r, d),  # the rows after the attention sublayer
+        "norm": (2, r, d),  # a layer norm's output and centred rows
+        "q": (r, d),
+        "k": (r, d),
+        "v": (r, d),
+        "ffn": (3 * r * c.d_ff,),  # pre-activation, GELU output, tanh(u)
+        # kernels.attention's scratch: scaled queries, context rows, the
+        # weights' sums and the widest score tile (one tile of at most
+        # 2 * TILE queries, or tiles of at most TILE, over at most r keys)
+        "attention": (2 * r * d + h * r + r * h * min(r, 2 * TILE),),
+    }
+
+
+def workspace_bytes(c: ModelConfig, dtype) -> int:
+    """The bytes of a ``Workspace`` for ``c`` in ``dtype``."""
+    return np.dtype(dtype).itemsize * sum(math.prod(s) for s in workspace_shapes(c).values())
+
+
+class Workspace:
+    """The buffers of one request on a model of ``config`` in ``dtype``
+    (``workspace_shapes``): a ``decoding.KvCache`` is cut from its KV block,
+    and ``forward_batch`` writes the temporaries of a multi-row untaped pass
+    over one unpacked row into the rest. Whoever holds a workspace uses it
+    alone; see ``take_workspace``."""
+
+    def __init__(self, config: ModelConfig, dtype):
+        self.config = config
+        self.dtype = np.dtype(dtype)
+        # one block, so that no buffer holds a place in the heap between
+        # short-lived allocations; pages no pass touches stay unmapped
+        block = np.empty(workspace_bytes(config, dtype) // self.dtype.itemsize, dtype=self.dtype)
+        self.buffers, start = {}, 0
+        for name, shape in workspace_shapes(config).items():
+            n = math.prod(shape)
+            self.buffers[name] = block[start:start + n].reshape(shape)
+            start += n
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.buffers.values())
+
+    def rows(self, n: int) -> tuple:
+        """The buffers for a pass of ``n`` rows, in ``forward_batch``'s
+        order: layer rows, attention-sublayer rows, a norm's (output,
+        centred rows), queries, keys, values, the feed-forward's buffers at
+        the model's width (``ffn_rows``), and attention's flat scratch."""
+        a = self.buffers
+        norm = a["norm"][:, :n]
+        return (a["x"][:n], a["x1"][:n], (norm[0], norm[1]), a["q"][:n], a["k"][:n],
+                a["v"][:n], *self.ffn_rows(n, self.config.d_ff), a["attention"])
+
+    def ffn_rows(self, n: int, width: int) -> tuple:
+        """(pre-activation, (GELU output, tanh(u))) for ``n`` rows of a
+        feed-forward ``width`` wide, or Nones when they do not fit."""
+        flat = self.buffers["ffn"]
+        if 3 * n * width > len(flat):
+            return None, None
+        a = flat[:3 * n * width].reshape(3, n, width)
+        return a[0], (a[1], a[2])
+
+
+def take_workspace(model: BackboneModel) -> Workspace:
+    """The model's spare workspace for its parameters' dtype, taken out of
+    ``model.workspaces`` in one step so that no other pass or request gets
+    it, or a new one when there is none. ``give_back`` returns it."""
+    dtype = model.params["embed"].dtype
+    ws = model.workspaces.pop(dtype, None)
+    return Workspace(model.config, dtype) if ws is None else ws
+
+
+def give_back(model: BackboneModel, ws: Workspace) -> None:
+    """Keep ``ws`` as the model's spare workspace for its dtype."""
+    model.workspaces[ws.dtype] = ws
+
+
+_NO_ROWS = (None,) * 9  # the buffers of a pass without a workspace
 
 
 def _mm_back(x, w, dy, need_dw=True):
@@ -186,6 +287,8 @@ def forward_batch(
 
     ``hidden`` is the final-norm output (pre-head). The expert, when present,
     replaces the feed-forward sublayer (norm included) at its positions.
+    ``tokens`` that are not a nonempty 2-D batch raise ``DimensionError``,
+    and ids that are not integers in the vocabulary ``TokenIdError``.
 
     Without ``positions`` each row is one sequence (right-padded if shorter):
     row position i has position id i and sees keys 0..i. ``positions``
@@ -195,50 +298,29 @@ def forward_batch(
     attends into another. Pad slots that end a row form a segment of their
     own.
 
-    The block is token-major: activations are rows [b*t, d], every dense op
-    is one flat matrix product and the heads are views. A pass fetches
-    each layer's weights once, through cached name tables
-    (``layer_weights``). ``tokens`` that are not a nonempty 2-D batch raise
-    ``DimensionError`` and ids that are not integers in the vocabulary
-    ``TokenIdError``, checked once per pass.
-
-    A lone row stays 1-D ([d]) and takes a lean lane through the same loop,
-    since at one row each NumPy call's fixed cost, not the arithmetic, sets
-    the time: a one-token decode step, and the last layer of a cached
-    prefill. Its products are 1-D ``np.dot`` calls, which cost less than
-    ``np.matmul`` at one row (``np.matmul`` is the faster at hundreds of
-    rows, bit for bit alike); the kernels take their lone-row forms (see
-    ``kernels``); and a cached pass writes its value rows straight into the
-    cache.
-
     With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped,
     unpacked row and appends its ``t`` positions at ``len(cache)``: every
-    layer writes its keys and values there and attends over all cached
-    positions, and the cache length grows by ``t``. It returns logits and
-    hidden for the last position only ([1, 1, ...]), so the last layer,
-    once it has cached every position's keys and values, runs its queries,
-    attention, output projection and feed-forward for the last row alone.
-    An empty cache makes this a prefill, a one-token row a decode step. When
-    the logits are not finite the cache has already taken the positions.
-
-    The attention mask (``kernels.causal_mask`` or ``kernels.segment_mask``)
-    is built once per pass, in the keys-first layout of the scores: every
-    pass with more than one query row lays its [keys, heads, rows, queries]
-    scores out that way (see ``kernels.attention``), and the tape keeps
-    their [b, h, t, s] view as the weights. A pass without a tape keeps no
-    attention weights: it divides each context row by its weights' sum
-    instead of normalising the weights. A pass that
-    ``kernels.tiles_queries`` (one unpacked row, no tape, more than
-    ``2 * kernels.TILE`` positions: a long prefill, cached or not) builds no
-    mask at all: attention runs its queries in causal tiles, each masking
-    only its own diagonal block.
+    layer caches its keys and values there and attends over all cached
+    positions, the cache length grows by ``t``, and logits and hidden come
+    back for the last position only ([1, 1, ...]). An empty cache makes
+    this a prefill, a one-token row a decode step. When the logits are not
+    finite the cache has already taken the positions.
 
     With ``want_tape`` the tape keeps, per layer, ``ln1c`` and ``ln2c``
     (each norm's normalised rows, inverse deviations and gain, the gain
-    being the parameter itself), ``probs`` (the weights' view), ``merged``
-    (the context rows, the output projection's input) and ``pre`` (the
-    GELU input): N * (3 d + d_ff + 2) + b * h * t * t values for N = b * t
-    rows. Everything else ``backward_batch`` rebuilds.
+    being the parameter itself), ``probs`` (the attention weights as
+    [b, h, t, s]), ``merged`` (the context rows, the output projection's
+    input) and ``pre`` (the GELU input). Everything else ``backward_batch``
+    rebuilds.
+
+    Workspace: a multi-row pass over one unpacked row without a tape (a
+    prefill, tiled or not, or an uncached pass such as a no-cache re-decode)
+    writes every per-layer temporary into a ``Workspace``: the cache's,
+    which the cache's owner holds, or else the model's spare, taken for the
+    pass (``take_workspace``) and given back after it. Every other pass (a
+    decode step, a taped pass, a packed or multi-row batch) allocates its
+    temporaries. The logits, hidden rows and cache entries are the same bits
+    either way, and the arrays returned never share a workspace's memory.
     """
     c = backbone.config
     p = backbone.params
@@ -264,9 +346,17 @@ def forward_batch(
     check_token_ids(tokens, c.vocab_size)
     end = start + t
     tiled = positions is None and tiles_queries(b, t, want_tape)
+    ws = None
+    if b == 1 and t > 1 and positions is None and not want_tape:
+        ws = take_workspace(backbone) if cache is None else cache.workspace
+    xb, x1b, nb, qb, kb, vb, preb, fb, scratch = _NO_ROWS if ws is None else ws.rows(t)
     if positions is None:
         future = None if tiled else causal_mask(t, start)
-        x = p["embed"][tokens] + p["pos"][start:end]
+        if xb is None:
+            x = p["embed"][tokens] + p["pos"][start:end]
+        else:
+            x = np.take(p["embed"], tokens[0], axis=0, out=xb, mode="clip")  # ids checked
+            x += p["pos"][start:end]
     else:
         if positions.shape != tokens.shape or not (
                 (positions >= 0) & (positions <= np.arange(t))).all():
@@ -287,10 +377,10 @@ def forward_batch(
     last = c.n_layers - 1
     for i, ((ln1g, ln1b, wq, wk, wv, wo), (ln2g, ln2b, w1, b1, w2, b2)) in enumerate(
             layer_weights(backbone, expert)):
-        h1, ln1c = layer_norm_fwd(x, ln1g, ln1b)
-        k = dot(h1, wk)
+        h1, ln1c = layer_norm_fwd(x, ln1g, ln1b, out=nb)
+        k = dot(h1, wk, kb)
         if cache is None:
-            v = dot(h1, wv)
+            v = dot(h1, wv, vb)
         else:
             cache.k_rows[i][cached] = k
             dot(h1, wv, out=cache.v[i][cached])
@@ -300,17 +390,21 @@ def forward_batch(
                 # every position's keys and values are cached: only the
                 # last row, which sees them all, goes on to the logits
                 x, h1, future = x[-1], h1[-1], None
-        q = dot(h1, wq)
+                xb = x1b = nb = qb = preb = fb = None
+        q = dot(h1, wq, qb)
         merged, probs = attention(q, k, v, b, c.n_heads, future, keep_weights=want_tape,
-                                 causal=tiled)
-        x1 = dot(merged, wo)
+                                 causal=tiled, scratch=scratch)
+        x1 = dot(merged, wo, x1b)
         x1 += x
 
-        h2, ln2c = layer_norm_fwd(x1, ln2g, ln2b)
-        pre_act = dot(h2, w1)
+        h2, ln2c = layer_norm_fwd(x1, ln2g, ln2b, out=nb)
+        pre_out, gelu_out = preb, fb
+        if preb is not None and w1.shape[1] != preb.shape[1]:  # an expert of another width
+            pre_out, gelu_out = ws.ffn_rows(t, w1.shape[1])
+        pre_act = dot(h2, w1, pre_out)
         pre_act += b1
-        act, tanh_u = gelu_fwd(pre_act)
-        x = dot(act, w2)
+        act, tanh_u = gelu_fwd(pre_act, gelu_out)
+        x = dot(act, w2, xb)
         x += b2
         x += x1
         if want_tape:
@@ -320,6 +414,8 @@ def forward_batch(
     if cache is not None:
         cache.length = end
     hidden, lnfc = layer_norm_fwd(x, p["ln_f.g"], p["ln_f.b"])
+    if cache is None and ws is not None:
+        give_back(backbone, ws)  # the last read of its rows is done
     logits = dot(hidden, p["head"])
     if not np.isfinite(logits).all():
         raise NumericError("forward pass produced non-finite logits")

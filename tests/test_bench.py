@@ -3,7 +3,7 @@ outputs of the three systems."""
 
 import pytest
 
-from ccoe import bench
+from ccoe import bench, net
 from ccoe.bench import (
     Workload,
     make_adapters,
@@ -115,3 +115,30 @@ def test_zero_b_adapters_decode_the_base_models_tokens(registry, monkeypatch):
     assert report.resident_param_bytes_peak == (
         param_bytes(backbone) + sum(a.bytes() for a in adapters.values())
         + overlay_bytes(backbone.config))
+
+
+def _count_workspaces(monkeypatch) -> tuple[list, list]:
+    """(workspaces made, the number made before each greedy_decode call)."""
+    made, before = [], []
+    real_init, real_decode = net.Workspace.__init__, bench.greedy_decode
+    monkeypatch.setattr(net.Workspace, "__init__",
+                        lambda self, *args: made.append(1) or real_init(self, *args))
+    monkeypatch.setattr(bench, "greedy_decode",
+                        lambda *args, **kwargs: before.append(len(made))
+                        or real_decode(*args, **kwargs))
+    return made, before
+
+
+def test_adapter_switches_after_the_warm_up_make_no_workspace(registry, monkeypatch):
+    adapters = make_adapters(registry.backbone, ["a", "b"], rank=2, rng=Rng(5))
+    made, before = _count_workspaces(monkeypatch)
+    run_adapter_baseline(registry.backbone, adapters, ALTERNATING, max_new=4)
+    # every materialized model decodes in the backbone's workspace
+    assert len(made) == before[len(ALTERNATING.items)] <= 1
+
+
+def test_mdme_reloads_after_the_warm_up_make_no_workspace(models, monkeypatch):
+    made, before = _count_workspaces(monkeypatch)
+    run_mdme_baseline(models, ALTERNATING, resident_budget_bytes=param_bytes(models["a"]),
+                      max_new=3)
+    assert len(made) == before[len(ALTERNATING.items)] <= 1

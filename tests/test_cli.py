@@ -1,13 +1,15 @@
 """Command-line exit codes."""
 
 import fcntl
+import json
 
 import numpy as np
 import pytest
 
 from ccoe.checkpoint import save_checkpoint
 from ccoe.cli import Manifest, main, manifest_lock
-from ccoe.model import ModelConfig, init_backbone, init_expert
+from ccoe.model import ModelConfig, init_backbone, init_expert, param_bytes
+from ccoe.net import Workspace
 from ccoe.rng import Rng
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=260, max_seq=64)
@@ -147,3 +149,31 @@ def test_manifest_lock_excludes_other_lockers_until_released(tmp_path):
     with manifest_lock(path):
         assert not try_lock()
     assert try_lock()
+
+
+def test_an_expert_pushed_under_a_new_id_keeps_it_when_the_registry_is_loaded(tmp_path, capsys):
+    backbone = init_backbone(TINY, Rng(5)).freeze()
+    manifest = _backbone_manifest(tmp_path, backbone)
+    expert = init_expert(TINY, 0, "copy", (1,), Rng(6), warm_from=backbone)
+    save_checkpoint(expert, tmp_path / "expert.ccoe")  # saved with id 0
+    argv = ["--manifest", str(manifest.path)]
+    assert main(["push", *argv, "--checkpoint", str(tmp_path / "expert.ccoe"), "--id", "7"]) == 0
+    assert main(["infer", *argv, "--domain", "copy", "--prompt", "ab", "--max-new", "2"]) == 0
+    assert main(["report-memory", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "expert 7 (copy)" in out
+    assert "expert:7:copy" in out and "expert:0:copy" not in out
+
+
+def test_report_memory_shows_the_workspace_outside_the_total(tmp_path, capsys):
+    manifest = _backbone_manifest(tmp_path)
+    assert main(["report-memory", "--manifest", str(manifest.path), "--records"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    params = [r["bytes"] for r in records if r.get("component") not in (None, "total")]
+    (total,) = [r["bytes"] for r in records if r.get("component") == "total"]
+    (workspace,) = [r["bytes"] for r in records if r.get("runtime") == "workspace"]
+    assert total == sum(params) == param_bytes(init_backbone(TINY, Rng(5)))
+    assert workspace == Workspace(TINY, np.float32).nbytes
+    assert main(["report-memory", "--manifest", str(manifest.path)]) == 0
+    table = capsys.readouterr().out
+    assert f"{workspace:,d}  (runtime, not in total)" in table

@@ -2,13 +2,22 @@
 
 import copy
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ccoe.checkpoint import digest, save_checkpoint
 from ccoe.errors import BudgetError, ConfigError, RoutingConfigError
-from ccoe.lifecycle import ExpertRegistry, attach_planner, budget_limit_bytes, push
+from ccoe.decoding import greedy_decode
+from ccoe.lifecycle import (
+    ExpertRegistry,
+    attach_planner,
+    budget_limit_bytes,
+    memory_report,
+    push,
+    push_checkpoint,
+)
 from ccoe.model import ExpertSubnetwork, ModelConfig, init_backbone, init_expert, param_bytes
 from ccoe.rng import Rng
 from ccoe.routing import init_planner
@@ -81,3 +90,30 @@ def test_push_from_a_path_registers_the_loaded_expert_without_a_copy(tmp_path, t
     pushed = reg.experts[0]
     assert digest(pushed) == digest(expert)
     assert not any(a.flags.writeable for a in pushed.params.values())
+
+
+def test_push_checkpoint_registers_the_loaded_expert_under_the_given_id(tmp_path):
+    reg = registry_with_planner()
+    path = tmp_path / "copy.ccoe"
+    save_checkpoint(init_expert(TINY, 0, "sort_digits", (1,), Rng(62)), path)
+    pushed = push_checkpoint(reg, path, 7)
+    assert pushed.expert_id == 7 and reg.experts[7] is pushed
+    assert 0 not in reg.experts
+    assert reg.mapping.rows["sort_digits"] == {7: 1}
+    assert 7 in reg.planner.indicator_ids
+
+
+def test_memory_report_shows_the_workspace_beside_an_unchanged_total():
+    reg = registry_with_planner()
+    report = memory_report(reg)
+    greedy_decode(reg.backbone, None, [257, 1, 2], 2)
+    (ws,) = reg.backbone.workspaces.values()
+    assert report.runtime == (("workspace", ws.nbytes),)
+    # the parameter rows, total and both comparisons as before the workspace
+    assert report.rows == (("backbone", 54784), ("expert:1:copy", 4416),
+                           ("expert:4:reverse", 4416), ("planner", 8772))
+    assert report.total == 72388 and report.mdme_equal_bytes == 109568
+    assert report.mdme_equal_reduction == Fraction(9295, 27392)
+    assert report.capped_total == Fraction(356096, 5)
+    assert report.capped_reduction == Fraction(7, 20)
+    assert {"runtime": "workspace", "bytes": ws.nbytes} in report.records()

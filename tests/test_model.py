@@ -1,6 +1,8 @@
 """Model contracts: init, parameter accounting, splice semantics, decoding."""
 
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccoe import decoding, kernels, net
+from ccoe.checkpoint import digest
 from ccoe.decoding import KvCache, decode_step, greedy_decode
 from ccoe.errors import (
     ConfigError,
@@ -32,7 +35,7 @@ from ccoe.model import (
     param_bytes,
     param_count,
 )
-from ccoe.net import forward_base, forward_batch, forward_with_expert
+from ccoe.net import Workspace, forward_base, forward_batch, forward_with_expert, workspace_bytes
 from ccoe.rng import Rng
 
 TINY = ModelConfig(n_layers=4, d_model=32, n_heads=4, d_ff=64, vocab_size=260, max_seq=64)
@@ -581,16 +584,20 @@ def test_long_cached_prefill_builds_no_causal_mask(mid_model, monkeypatch):
     assert built == [(40, 0)]
 
 
-def test_greedy_decode_cuts_each_cache_from_the_last_requests_block(
-        mid_model, mid_expert, monkeypatch):
-    monkeypatch.setattr(decoding, "_SPARE", {})
-    block_bytes = 2 * MID.n_layers * MID.max_seq * MID.d_model * 4
+def _fill_nan(ws):
+    # a read of any value the pass has not written shows as a NaN
+    for buf in ws.buffers.values():
+        buf.fill(np.nan)
+
+
+def test_a_second_long_request_allocates_almost_nothing(mid_model, mid_expert):
+    model = deep_copy_backbone(mid_model)  # starts without a workspace
     prompt = _long_prompt(200, 12)
 
     def traced():
         tracemalloc.start()
         try:
-            out = greedy_decode(mid_model, mid_expert, prompt, 4, stop_token=None)
+            out = greedy_decode(model, mid_expert, prompt, 4, stop_token=None)
             return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -598,16 +605,110 @@ def test_greedy_decode_cuts_each_cache_from_the_last_requests_block(
     first, fresh = traced()
     second, reused = traced()
     assert first == second
-    assert fresh - reused >= block_bytes
+    assert fresh >= workspace_bytes(MID, np.float32)  # the first request made the workspace
+    assert reused < 64 * 1024
 
 
-def test_a_reused_cache_block_gives_the_tokens_of_a_fresh_one(mid_model, mid_expert, monkeypatch):
-    monkeypatch.setattr(decoding, "_SPARE", {})
+def test_a_nan_filled_workspace_gives_the_tokens_of_a_fresh_one(mid_model, mid_expert):
+    model = deep_copy_backbone(mid_model)
     prompt = _long_prompt(150, 13)
-    want = greedy_decode(mid_model, mid_expert, prompt, 6, stop_token=None)
-    assert want == greedy_decode(mid_model, mid_expert, prompt, 6, use_cache=False, stop_token=None)
-    greedy_decode(mid_model, None, _long_prompt(240, 14), 8, stop_token=None)
-    (block,) = decoding._SPARE.values()
-    block.fill(np.nan)  # a read of any position the request has not written would show
-    assert greedy_decode(mid_model, mid_expert, prompt, 6, stop_token=None) == want
-    assert decoding._SPARE[decoding._block_key(mid_model)] is block
+    want = greedy_decode(model, mid_expert, prompt, 6, stop_token=None)
+    assert want == greedy_decode(model, mid_expert, prompt, 6, use_cache=False, stop_token=None)
+    greedy_decode(model, None, _long_prompt(240, 14), 8, stop_token=None)
+    (ws,) = model.workspaces.values()
+    _fill_nan(ws)
+    assert greedy_decode(model, mid_expert, prompt, 6, stop_token=None) == want
+    _fill_nan(ws)
+    assert greedy_decode(model, mid_expert, prompt, 6, use_cache=False, stop_token=None) == want
+    assert model.workspaces[np.dtype(np.float32)] is ws
+
+
+@pytest.mark.parametrize("with_expert", [False, True])
+@pytest.mark.parametrize("length", [40, 129, 200])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_workspace_pass_equals_one_on_a_nan_workspace_and_one_without(
+        mid_model, mid_expert, monkeypatch, dtype, length, with_expert):
+    model = deep_copy_backbone(mid_model)
+    expert = deep_copy_expert(mid_expert) if with_expert else None
+    if dtype is np.float64:
+        model = _float64(model)
+        expert = expert and _float64(expert)
+    tokens = np.asarray([_long_prompt(length, 15)])
+
+    def passes(ws):
+        # a prefill on a cache cut from ws, then an uncached pass, which
+        # takes the model's spare workspace
+        cache = KvCache(model, length, ws)
+        prefill = forward_batch(model, tokens, expert=expert, cache=cache)[:2]
+        keys = [a[..., :length] for a in cache.k]
+        values = [a[:length] for a in cache.v]
+        return [*prefill, *keys, *values, *forward_batch(model, tokens, expert=expert)[:2]]
+
+    want = passes(Workspace(MID, dtype))
+    (spare,) = model.workspaces.values()
+    nan_ws = Workspace(MID, dtype)
+    _fill_nan(nan_ws)
+    _fill_nan(spare)
+    on_nan = passes(nan_ws)
+    with monkeypatch.context() as m:
+        m.setattr(net.Workspace, "rows", lambda self, n: net._NO_ROWS)  # allocate every temporary
+        allocated = passes(Workspace(MID, dtype))
+    for got in (on_nan, allocated):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_a_request_that_raises_gives_its_workspace_back(tiny_model, monkeypatch):
+    model = deep_copy_backbone(tiny_model)
+    greedy_decode(model, None, [257, 1, 2], 3)
+    (ws,) = model.workspaces.values()
+    spares_seen = []
+
+    def failing(*args, **kwargs):
+        spares_seen.append(len(model.workspaces))
+        raise NumericError("forward pass produced non-finite logits")
+
+    monkeypatch.setattr(decoding, "forward_batch", failing)
+    with pytest.raises(NumericError):
+        greedy_decode(model, None, [257, 1, 2], 3)
+    assert spares_seen == [0]  # the request held the workspace when it raised
+    assert model.workspaces[np.dtype(np.float32)] is ws
+
+
+def test_two_threads_decoding_on_one_model_each_get_their_serial_tokens(mid_model, mid_expert):
+    model = deep_copy_backbone(mid_model)
+    jobs = [(mid_expert, _long_prompt(200, 16)), (None, _long_prompt(60, 17))]
+    want = [[greedy_decode(model, e, p, 4, stop_token=None),
+             greedy_decode(model, e, p, 2, use_cache=False, stop_token=None)] for e, p in jobs]
+    got = [[], []]
+
+    def client(i):
+        expert, prompt = jobs[i]
+        for _ in range(8):
+            got[i].append([greedy_decode(model, expert, prompt, 4, stop_token=None),
+                           greedy_decode(model, expert, prompt, 2, use_cache=False,
+                                         stop_token=None)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for i in range(2):
+        assert got[i] == [want[i]] * 8
+
+
+def test_the_workspace_is_runtime_state_outside_the_parameters(tiny_model):
+    model = deep_copy_backbone(tiny_model)
+    before = param_bytes(model), digest(model)
+    greedy_decode(model, None, [257, 1, 2], 3)
+    (ws,) = model.workspaces.values()
+    assert ws.nbytes == workspace_bytes(TINY, np.float32)
+    assert (param_bytes(model), digest(model)) == before
+    assert deep_copy_backbone(model).workspaces == {}
+    assert "workspaces" not in repr(model)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ccoe import kernels, routing
 from ccoe.errors import GatingError, RoutingError, UnknownExpertError
 from ccoe.lifecycle import ExpertRegistry
 from ccoe.model import ModelConfig, deep_copy_backbone, init_backbone, init_expert
@@ -84,3 +85,30 @@ def test_execute_plan_flags_carried_context_trimmed_to_fit(registry, tied_planne
     assert len(path.steps) == 2
     assert path.truncated
     assert text == "\x00"  # step 2's prompt left room for one token
+
+
+# --- planner scoring ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scores_without_an_all_zero_key_mask_equal_the_masked_ones(dtype, monkeypatch):
+    backbone = init_backbone(TINY, Rng(10))
+    planner = init_planner(TINY, [0, 1, 2], (1,), Rng(11), warm_from=backbone)
+    backbone.params = {k: v.astype(dtype) for k, v in backbone.params.items()}
+    planner.expert.params = {k: v.astype(dtype) for k, v in planner.expert.params.items()}
+    planner.scorer = {k: v.astype(dtype) for k, v in planner.scorer.items()}
+    planner.indicators = planner.indicators.astype(dtype)
+    rng = Rng(12)
+    one = [257] + [int(t) for t in rng.integers(0, 256, size=20)]
+    other = [257] + [int(t) for t in rng.integers(0, 256, size=20)]
+    # one subtask, and two of one length each in its own row: no key is hidden
+    batches = [[one], [one, other]]
+    assert kernels.key_mask(np.zeros((2, 21), dtype=bool)) is None
+    skipped = [routing.score_batch(planner, backbone, b) for b in batches]
+    with monkeypatch.context() as m:
+        m.setattr(routing, "key_mask",
+                  lambda hidden: kernels._additive(hidden.T)[:, None, :, None])
+        masked = [routing.score_batch(planner, backbone, b) for b in batches]
+    for got, want in zip(skipped, masked):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
