@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CcoeError, SequenceLengthError
+from .errors import CcoeError, ConfigError, SequenceLengthError
 from .model import BackboneModel, ExpertSubnetwork
 from .net import Workspace, check_token_ids, forward_batch, give_back, take_workspace, token_row
 from .tokenizer import EOS
@@ -51,7 +51,18 @@ class KvCache:
     memory, through which a pass writes its key rows. Values are
     token-major: ``v[i]`` is [capacity, d_model], and ``v_heads[i]`` is its
     [n_heads, capacity, head_dim] view, which attention slices once per
-    layer. A decode step writes one row of each per layer.
+    layer. A decode step writes one row of each per layer. A ``workspace``
+    made for another config or dtype than the model's raises
+    ``ConfigError``.
+
+    Pair contract: ``net.forward_batch`` sets ``backbone``, ``expert`` and
+    ``weights`` to the (backbone, expert) pair of the last pass over the
+    cache and that pair's ``net.layer_weights``. A pass with the same two
+    objects reuses those weights and does not validate the expert again, so
+    it does not see a params entry or ``positions`` replaced since: a cache
+    must not outlive such a change to its pair (start a new cache). A pass
+    with another pair validates the expert and resolves its weights before
+    the cache changes.
     """
 
     def __init__(self, model: BackboneModel, capacity: int | None = None,
@@ -61,8 +72,14 @@ class KvCache:
         if capacity > c.max_seq:
             raise SequenceLengthError(f"cache capacity {capacity} exceeds max_seq {c.max_seq}")
         span = c.max_seq * c.d_model
+        dtype = model.params["embed"].dtype
         if workspace is None:
-            workspace = Workspace(c, model.params["embed"].dtype)
+            workspace = Workspace(c, dtype)
+        elif workspace.config != c or workspace.dtype != dtype:
+            raise ConfigError(
+                f"a workspace for {workspace.config} in {workspace.dtype} cannot hold the "
+                f"cache of a model of {c} in {dtype}"
+            )
         block = workspace.buffers["kv"]
         hd = c.d_model // c.n_heads
         n = capacity * c.d_model
@@ -76,6 +93,8 @@ class KvCache:
         self.workspace = workspace
         self.capacity = capacity
         self.length = 0
+        # set by forward_batch: the pair whose keys and values the cache holds
+        self.backbone = self.expert = self.weights = None
 
     def __len__(self) -> int:
         return self.length
@@ -93,7 +112,9 @@ def decode_step(
     full cache raises ``SequenceLengthError``, a token that is not an
     integer id in the vocabulary ``TokenIdError`` and a bad expert position
     ``RoutingConfigError``, all before the cache changes. Non-finite logits
-    raise ``NumericError`` after the cache has taken the position.
+    raise ``NumericError`` after the cache has taken the position. A step
+    with the pair of the cache's last pass reuses that pass's weights, so a
+    params entry replaced since is not seen (``KvCache``'s pair contract).
     """
     return forward_batch(model, np.array([[token]]), expert, cache=cache)[0][0, 0]
 
@@ -148,7 +169,7 @@ def _continue(model, expert, tokens, max_new, cache, stop_token) -> list[int]:
     logits = forward_batch(model, tokens, expert=expert, cache=cache)[0][0, -1]
     out: list[int] = []
     while True:
-        nxt = int(np.argmax(logits))  # first max wins: lowest id on ties
+        nxt = int(logits.argmax())  # first max wins: lowest id on ties
         out.append(nxt)
         if len(out) == max_new or nxt == stop_token:
             return out

@@ -15,8 +15,9 @@ Every kernel is a pure function of its inputs, bit-identical across calls,
 and dtype-agnostic: the parameters' dtype (float32, or float64 when tests
 feed 64-bit copies) sets the computation's. Attention over more than one
 query row lays its scores out keys-first, [keys, heads, rows, queries], and
-the masks (``causal_mask``, ``segment_mask``, ``key_mask``) come in that
-layout. A lone row ([d], a decode step) takes each kernel's lean 1-D form.
+the masks (``causal_mask``, ``causal_tail``, ``segment_mask``,
+``key_mask``) come in that layout. A lone row ([d], a decode step) takes
+each kernel's lean 1-D form.
 
 Output buffers: ``layer_norm_fwd`` and ``gelu_fwd`` take ``out`` arrays,
 and ``attention`` a flat ``scratch`` array, and write into them what they
@@ -35,6 +36,8 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 NEG_INF = float("-inf")
+EPS = 1e-5
+"""The layer norm's default eps."""
 
 
 @functools.cache
@@ -47,7 +50,7 @@ def _constant(dtype: np.dtype, value: float) -> np.ndarray:
     return c
 
 
-def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5,
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = EPS,
                    out: tuple[np.ndarray, np.ndarray] | None = None):
     """Layer norm over the last axis; also returns (xh, inv, gain) for
     ``layer_norm_bwd``, with ``inv`` shaped [..., 1].
@@ -119,7 +122,7 @@ def layer_norm_bwd(dy: np.ndarray, cache, need_dparams: bool = True):
     return dxh, dg, db
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = EPS) -> np.ndarray:
     """Per-row normalization to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ConfigError("layer_norm: eps must be positive")
@@ -139,6 +142,7 @@ def causal_mask(t: int, start: int = 0) -> np.ndarray | None:
     ``start..start+t-1`` of one sequence: a float32 [start + t, 1, 1, t]
     array, -inf at [j, 0, 0, i] when query i may not see key j (j > start +
     i) and 0 elsewhere. None for one query, which sees every key before it.
+    The block adds ``causal_tail`` instead; this full form is its reference.
     """
     if t == 1:
         return None
@@ -193,6 +197,18 @@ def _triangle(n: int) -> np.ndarray:
     return tri
 
 
+def causal_tail(t: int, n: int) -> np.ndarray | None:
+    """Keys-first additive mask of the last ``t`` positions of one sequence
+    over their own keys: a read-only float32 [t, 1, 1, t] view, -inf at
+    [j, 0, 0, i] when j > i, cut from the cached triangle of ``n`` rows
+    (``t <= n``). ``attention`` adds a mask over the last ``len(mask)`` keys
+    only, so the queries see every earlier key, as under
+    ``causal_mask(t, start)``, with the same scores. None for one query."""
+    if t > n:
+        raise ConfigError(f"causal_tail: {t} queries exceed the {n}-row triangle")
+    return None if t == 1 else _triangle(n)[:t, :, :, :t]
+
+
 def _heads(a: np.ndarray, b: int, n_heads: int) -> np.ndarray:
     """Token-major rows [b*t, d] (one row may be [d]) as a [b, h, t, hd] view."""
     return a.reshape(b, -1, n_heads, a.shape[-1] // n_heads).transpose(0, 2, 1, 3)
@@ -235,11 +251,12 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
       [n_heads, s, head_dim] view.
 
     Heads are contiguous slices of the feature axis. ``future`` is an
-    additive keys-first mask (``causal_mask``, ``segment_mask`` or
-    ``key_mask``) or None. ``causal`` takes its place for a pass that
-    ``tiles_queries``: the ``t`` query rows of one sequence are its last
-    ``t`` positions, each seeing the keys up to its own, and they run in
-    tiles of at most ``TILE`` rows starting on multiples of ``TILE_STEP``.
+    additive keys-first mask (``causal_mask``, ``causal_tail``,
+    ``segment_mask`` or ``key_mask``) or None. ``causal`` takes its place
+    for a pass that ``tiles_queries``: the ``t`` query rows of one sequence
+    are its last ``t`` positions, each seeing the keys up to its own, and
+    they run in tiles of at most ``TILE`` rows starting on multiples of
+    ``TILE_STEP``.
     The tiled context rows equal the one-tile pass's bit for bit wherever
     BLAS takes both products with the same kernels, which tests check.
 
@@ -265,12 +282,13 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
         probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         norm = np.add.reduce(probs, axis=-1, keepdims=True)
+        # ravel: the same [d] view as reshape(q.shape), at a lower call cost
         if keep_weights:
             probs /= norm
-            return np.matmul(probs, v).reshape(q.shape), probs[None]
+            return np.matmul(probs, v).ravel(), probs[None]
         ctx = np.matmul(probs, v)
         ctx /= norm
-        return ctx.reshape(q.shape), None
+        return ctx.ravel(), None
 
     # the scaled queries as a contiguous [b, h, hd, t]: multiplying the keys
     # by a transposed view of them takes about twice as long
@@ -291,10 +309,9 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
     else:
         n = -(-t // TILE)
         edges = [-(-t * j // (n * TILE_STEP)) * TILE_STEP for j in range(n)] + [t]
-        diagonal = _triangle(TILE)
         for first, end in zip(edges, edges[1:]):
             w, keys = end - first, s - t + end
-            _attend(qt[..., first:end], kh[:, :, :keys], vh[:, :, :keys], diagonal[:w, :, :, :w],
+            _attend(qt[..., first:end], kh[:, :, :keys], vh[:, :, :keys], causal_tail(w, TILE),
                     False, ctxh[:, :, first:end], norm[..., first:end], scratch)
     # through a [rows, h, hd] view of the rows, which NumPy walks with one
     # iteration buffer where the [b, h, t, hd] view takes two

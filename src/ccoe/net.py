@@ -41,10 +41,11 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, SequenceLengthError, TokenIdError
 from .kernels import (
+    EPS,
     TILE,
     attention,
     attention_bwd,
-    causal_mask,
+    causal_tail,
     gelu_from_tanh,
     gelu_fwd,
     gelu_grad_from_tanh,
@@ -193,10 +194,17 @@ def check_token_ids(ids: np.ndarray, vocab_size: int, what: str = "token") -> No
     """
     if ids.dtype.kind not in "iu":
         raise TokenIdError(f"{what} ids must be integers, got dtype {ids.dtype}")
-    # one reduction: a negative id wraps to a huge unsigned one
-    if ids.size and np.maximum.reduce(ids.astype(np.uint64, copy=False), axis=None) >= vocab_size:
+    if ids.size == 1:
+        bad = ids.item()  # one id (a decode step) as a Python int, compared without a cast
+        if 0 <= bad < vocab_size:
+            return
+    else:
+        # one reduction: a negative id wraps to a huge unsigned one
+        if not ids.size or np.maximum.reduce(ids.astype(np.uint64, copy=False),
+                                             axis=None) < vocab_size:
+            return
         bad = int(ids[(ids < 0) | (ids >= vocab_size)].flat[0])
-        raise TokenIdError(f"{what} id {bad} outside vocabulary [0, {vocab_size})")
+    raise TokenIdError(f"{what} id {bad} outside vocabulary [0, {vocab_size})")
 
 
 def token_row(tokens) -> np.ndarray:
@@ -304,7 +312,9 @@ def forward_batch(
     positions, the cache length grows by ``t``, and logits and hidden come
     back for the last position only ([1, 1, ...]). An empty cache makes
     this a prefill, a one-token row a decode step. When the logits are not
-    finite the cache has already taken the positions.
+    finite the cache has already taken the positions. A pass with the
+    cache's (backbone, expert) pair reuses the layer weights it keeps for
+    that pair (see ``decoding.KvCache``).
 
     With ``want_tape`` the tape keeps, per layer, ``ln1c`` and ``ln2c``
     (each norm's normalised rows, inverse deviations and gain, the gain
@@ -324,8 +334,14 @@ def forward_batch(
     """
     c = backbone.config
     p = backbone.params
-    if expert is not None:
-        validate_positions(c, expert.positions)
+    if cache is not None and cache.backbone is backbone and cache.expert is expert:
+        weights = cache.weights
+    else:
+        if expert is not None:
+            validate_positions(c, expert.positions)
+        weights = layer_weights(backbone, expert)
+        if cache is not None:
+            cache.backbone, cache.expert, cache.weights = backbone, expert, weights
     if tokens.ndim != 2 or not tokens.size:
         raise DimensionError(f"tokens must be a nonempty [rows, positions] batch, got {tokens.shape}")
     b, t = tokens.shape
@@ -345,45 +361,49 @@ def forward_batch(
         raise SequenceLengthError(f"sequence length {t} exceeds max_seq {c.max_seq}")
     check_token_ids(tokens, c.vocab_size)
     end = start + t
-    tiled = positions is None and tiles_queries(b, t, want_tape)
     ws = None
-    if b == 1 and t > 1 and positions is None and not want_tape:
-        ws = take_workspace(backbone) if cache is None else cache.workspace
-    xb, x1b, nb, qb, kb, vb, preb, fb, scratch = _NO_ROWS if ws is None else ws.rows(t)
-    if positions is None:
-        future = None if tiled else causal_mask(t, start)
-        if xb is None:
-            x = p["embed"][tokens] + p["pos"][start:end]
-        else:
-            x = np.take(p["embed"], tokens[0], axis=0, out=xb, mode="clip")  # ids checked
-            x += p["pos"][start:end]
+    if b * t == 1 and positions is None:
+        # a lone row: its embedding and position rows by index
+        x = p["embed"][tokens.item()] + p["pos"][start]
+        tiled, future, bufs = False, None, _NO_ROWS
     else:
-        if positions.shape != tokens.shape or not (
-                (positions >= 0) & (positions <= np.arange(t))).all():
-            raise DimensionError(
-                f"positions {positions.shape} must match tokens {tokens.shape} "
-                "and lie in 0..column"
-            )
-        future = segment_mask(positions)
-        x = p["embed"][tokens] + p["pos"][positions]
+        tiled = positions is None and tiles_queries(b, t, want_tape)
+        if b == 1 and positions is None and not want_tape:
+            ws = take_workspace(backbone) if cache is None else cache.workspace
+        bufs = _NO_ROWS if ws is None else ws.rows(t)
+        if positions is None:
+            future = None if tiled else causal_tail(t, c.max_seq)
+            if ws is None:
+                x = p["embed"][tokens] + p["pos"][start:end]
+            else:
+                x = np.take(p["embed"], tokens[0], axis=0, out=bufs[0], mode="clip")  # ids checked
+                x += p["pos"][start:end]
+        else:
+            if positions.shape != tokens.shape or not (
+                    (positions >= 0) & (positions <= np.arange(t))).all():
+                raise DimensionError(
+                    f"positions {positions.shape} must match tokens {tokens.shape} "
+                    "and lie in 0..column"
+                )
+            future = segment_mask(positions)
+            x = p["embed"][tokens] + p["pos"][positions]
+        x = x.reshape((b * t, c.d_model) if b * t > 1 else (c.d_model,))
+    xb, x1b, nb, qb, kb, vb, preb, fb, scratch = bufs
     # a one-token pass writes its cache rows through an index, cheaper than a slice
     cached = slice(start, end) if t > 1 else start
-
-    x = x.reshape((b * t, c.d_model) if b * t > 1 else (c.d_model,))
     # the same bits either way: np.dot has the lower fixed cost at one row,
     # np.matmul is 10-20% faster from a few hundred rows
     dot = np.dot if b * t == 1 else np.matmul
     layers_tape = []
     last = c.n_layers - 1
-    for i, ((ln1g, ln1b, wq, wk, wv, wo), (ln2g, ln2b, w1, b1, w2, b2)) in enumerate(
-            layer_weights(backbone, expert)):
-        h1, ln1c = layer_norm_fwd(x, ln1g, ln1b, out=nb)
+    for i, ((ln1g, ln1b, wq, wk, wv, wo), (ln2g, ln2b, w1, b1, w2, b2)) in enumerate(weights):
+        h1, ln1c = layer_norm_fwd(x, ln1g, ln1b, EPS, nb)
         k = dot(h1, wk, kb)
         if cache is None:
             v = dot(h1, wv, vb)
         else:
             cache.k_rows[i][cached] = k
-            dot(h1, wv, out=cache.v[i][cached])
+            dot(h1, wv, cache.v[i][cached])
             k = cache.k[i][..., :end]
             v = cache.v_heads[i][:, :end]
             if i == last and t > 1:
@@ -392,12 +412,11 @@ def forward_batch(
                 x, h1, future = x[-1], h1[-1], None
                 xb = x1b = nb = qb = preb = fb = None
         q = dot(h1, wq, qb)
-        merged, probs = attention(q, k, v, b, c.n_heads, future, keep_weights=want_tape,
-                                 causal=tiled, scratch=scratch)
+        merged, probs = attention(q, k, v, b, c.n_heads, future, want_tape, tiled, scratch)
         x1 = dot(merged, wo, x1b)
         x1 += x
 
-        h2, ln2c = layer_norm_fwd(x1, ln2g, ln2b, out=nb)
+        h2, ln2c = layer_norm_fwd(x1, ln2g, ln2b, EPS, nb)
         pre_out, gelu_out = preb, fb
         if preb is not None and w1.shape[1] != preb.shape[1]:  # an expert of another width
             pre_out, gelu_out = ws.ffn_rows(t, w1.shape[1])

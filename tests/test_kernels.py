@@ -17,6 +17,7 @@ from ccoe.kernels import (
     attention,
     attention_bwd,
     causal_mask,
+    causal_tail,
     gelu_from_tanh,
     gelu_fwd,
     gelu_grad_from_tanh,
@@ -390,6 +391,24 @@ def test_tiled_attention_equals_the_one_tile_path_bit_for_bit(monkeypatch, t, st
         assert weights is None and tiled.dtype == dtype
         assert np.array_equal(tiled, one)
         assert np.array_equal(tiled, masked)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t,start", [(2, 0), (5, 0), (5, 6), (40, 90)])
+def test_causal_tail_masks_like_causal_mask_at_any_start(t, start, dtype):
+    # the tail covers the last t keys only; the queries see every earlier key
+    rng = Rng(35)
+    heads, d, s = 4, 32, start + t
+    q, k, v = (rng.normal((n, d), 2.0).astype(dtype) for n in (t, s, s))
+    tail = causal_tail(t, 128)
+    assert not tail.flags.writeable and np.array_equal(tail, causal_mask(t))
+    for keep in (True, False):
+        want = attention(q, k, v, 1, heads, causal_mask(t, start), keep_weights=keep)
+        got = attention(q, k, v, 1, heads, tail, keep_weights=keep)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want) if a is not None)
+    assert causal_tail(1, 128) is None
+    with pytest.raises(ConfigError):
+        causal_tail(129, 128)
 
 
 def test_only_long_untaped_passes_over_one_sequence_tile():

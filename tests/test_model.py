@@ -1,5 +1,6 @@
 """Model contracts: init, parameter accounting, splice semantics, decoding."""
 
+import hashlib
 import json
 import sys
 import threading
@@ -22,7 +23,7 @@ from ccoe.errors import (
     SequenceLengthError,
     TokenIdError,
 )
-from ccoe.kernels import causal_mask
+from ccoe.kernels import attention, causal_mask
 from ccoe.model import (
     BackboneModel,
     ModelConfig,
@@ -286,7 +287,13 @@ def test_kv_cache_length_tracks_tokens(tiny_model):
         assert len(cache) == i + 1
 
 
-@pytest.mark.parametrize("bad", [-1, TINY.vocab_size])
+@pytest.mark.parametrize("bad", [
+    -1, TINY.vocab_size,
+    # numpy scalars take the one-id check with its Python comparison
+    pytest.param(np.uint64(2**64 - 1), id="uint64-max"),
+    pytest.param(np.int8(-1), id="int8--1"),
+    pytest.param(np.int64(TINY.vocab_size), id="int64-vocab"),
+])
 def test_decode_step_rejects_token_id_outside_vocab(tiny_model, bad):
     cache = KvCache(tiny_model)
     decode_step(tiny_model, None, 257, cache)
@@ -295,13 +302,24 @@ def test_decode_step_rejects_token_id_outside_vocab(tiny_model, bad):
     assert len(cache) == 1
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", None, pytest.param(np.bool_(True), id="bool_")])
 def test_decode_step_rejects_a_token_that_is_not_an_integer(tiny_model, bad):
     cache = KvCache(tiny_model)
     decode_step(tiny_model, None, 257, cache)
     with pytest.raises(TokenIdError):
         decode_step(tiny_model, None, bad, cache)
     assert len(cache) == 1
+
+
+@pytest.mark.parametrize("token", [pytest.param(np.int32(5), id="int32"),
+                                   pytest.param(np.uint8(5), id="uint8")])
+def test_decode_step_takes_a_numpy_integer_id_as_that_id(tiny_model, token):
+    logits = []
+    for tok in (5, token):
+        cache = KvCache(tiny_model)
+        decode_step(tiny_model, None, 257, cache)
+        logits.append(decode_step(tiny_model, None, tok, cache))
+    assert np.array_equal(*logits)
 
 
 @pytest.mark.parametrize("prompt", [[257, 2.7], "ab", [257, None], [257, True], (257, False)])
@@ -570,18 +588,122 @@ def test_long_chunked_prefill_matches_a_one_shot_prefill(mid_model, mid_expert):
 
 
 def test_long_cached_prefill_builds_no_causal_mask(mid_model, monkeypatch):
-    built = []
+    masks = []
 
-    def spy(t, start=0):
-        built.append((t, start))
-        return causal_mask(t, start)
+    def spy(*args):
+        masks.append(args[5])
+        return attention(*args)
 
-    monkeypatch.setattr(net, "causal_mask", spy)
+    monkeypatch.setattr(net, "attention", spy)
+    # a long prefill runs in tiles; a short one, cached or not, adds a slice
+    # of the one cached triangle over its last keys
     forward_batch(mid_model, np.asarray([_long_prompt(200, 11)]), cache=KvCache(mid_model, 200))
-    assert built == []
-    # a short prefill still masks its one tile with a full mask
-    forward_batch(mid_model, np.asarray([_long_prompt(40, 11)]), cache=KvCache(mid_model, 40))
-    assert built == [(40, 0)]
+    assert masks == [None] * MID.n_layers
+    masks.clear()
+    cache = KvCache(mid_model, 60)
+    for chunk in (_long_prompt(40, 11), _long_prompt(20, 12)):
+        forward_batch(mid_model, np.asarray([chunk]), cache=cache)
+    forward_batch(mid_model, np.asarray([_long_prompt(30, 13)]))
+    # a cached pass's last layer attends from its last row alone, unmasked
+    masks = [mask for mask in masks if mask is not None]
+    assert len(masks) == 3 * MID.n_layers - 2
+    base = masks[0].base
+    for mask in masks:
+        assert not mask.flags.writeable and mask.base is base
+        assert np.array_equal(mask, causal_mask(len(mask)))
+
+
+# SHA-256 of a 25-token prefill's logits and the logits of 8 greedy decode
+# steps after it, then of the cache's key and value rows, at the fixture shape
+PINNED_DECODE = {
+    "base": ("a1c6d9674d48e0ad2dac599a3af3b071b048c96ff0b498c3e7af8999ad7fdc50",
+             "99d0a491c00a194f5fb860b7f452ba97873d0b6846ace976c96756f358d6e454"),
+    "gl": ("bd3efa8a8c5e2a61acec0110d32053b7444accd0160d4b2b03bd4629c550f57e",
+           "061531d2d611a13155f59380d2a326d4e647d9e04540b1572b9bfa7b41c1756d"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DECODE)
+def test_decode_keeps_its_pinned_bits(mid_model, mid_expert, name):
+    expert = mid_expert if name == "gl" else None
+    cache = KvCache(mid_model, 33)
+    logits = [forward_batch(mid_model, np.asarray([_long_prompt(25, 18)]), expert,
+                            cache=cache)[0][0, 0]]
+    for _ in range(8):
+        logits.append(decode_step(mid_model, expert, int(logits[-1].argmax()), cache))
+    rows = [a[:len(cache)] for a in (*cache.k_rows, *cache.v)]
+    got = tuple(hashlib.sha256(np.ascontiguousarray(np.stack(a)).tobytes()).hexdigest()
+                for a in (logits, rows))
+    assert got == PINNED_DECODE[name]
+
+
+def test_a_cached_request_resolves_its_layer_weights_once(mid_model, mid_expert, monkeypatch):
+    calls = {"layer_weights": 0, "validate_positions": 0}
+    for name, real in [(name, getattr(net, name)) for name in calls]:
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(net, name, spy)
+    out = greedy_decode(mid_model, mid_expert, _long_prompt(20, 19), 24, stop_token=None)
+    assert len(out) == 24
+    assert calls == {"layer_weights": 1, "validate_positions": 1}
+
+
+def _copy_of(cache, model):
+    # a cache with the same keys, values and length that has seen no pair
+    copy = KvCache(model, cache.capacity, Workspace(model.config, np.float32))
+    copy.workspace.buffers["kv"][:] = cache.workspace.buffers["kv"]
+    copy.length = cache.length
+    return copy
+
+
+def test_a_pass_under_another_pair_uses_that_pairs_weights(mid_model, mid_expert):
+    other = init_expert(MID, 1, "be", (6, 7), Rng(46), inner_width=48)
+    beyond = init_expert(ModelConfig(n_layers=10, d_model=64, n_heads=4, d_ff=128),
+                         2, "bad", (9,), Rng(47))
+    seen = KvCache(mid_model, 30)
+    forward_batch(mid_model, np.asarray([_long_prompt(20, 20)]), mid_expert, cache=seen)
+    decode_step(mid_model, mid_expert, 5, seen)
+    with pytest.raises(RoutingConfigError):
+        decode_step(mid_model, beyond, 5, seen)
+    assert len(seen) == 21
+    for expert in (other, None, mid_expert):
+        fresh = _copy_of(seen, mid_model)
+        want = decode_step(mid_model, expert, 7, fresh)
+        assert np.array_equal(decode_step(mid_model, expert, 7, seen), want)
+    # a prefill chunk under another pair, too
+    fresh = _copy_of(seen, mid_model)
+    chunk = np.asarray([[8, 9, 10]])
+    want = forward_batch(mid_model, chunk, other, cache=fresh)[0]
+    assert np.array_equal(forward_batch(mid_model, chunk, other, cache=seen)[0], want)
+
+
+def test_a_cache_keeps_its_pairs_weights_until_the_pair_changes(mid_model, mid_expert):
+    # the pair contract: a params entry replaced after a cache's pass is not
+    # seen by that cache under the same pair, and is seen by a new cache
+    expert = deep_copy_expert(mid_expert)
+    prompt = np.asarray([_long_prompt(20, 21)])
+    used = KvCache(mid_model, 30)
+    forward_batch(mid_model, prompt, expert, cache=used)
+    fresh = _copy_of(used, mid_model)
+    old = decode_step(mid_model, expert, 5, _copy_of(used, mid_model))
+    name = next(iter(expert.params))
+    expert.params[name] = expert.params[name] * 2
+    assert np.array_equal(decode_step(mid_model, expert, 5, used), old)
+    assert not np.array_equal(decode_step(mid_model, expert, 5, fresh), old)
+
+
+def test_kv_cache_rejects_a_workspace_of_another_model(mid_model):
+    # a float64 model used to cache in float32, and a shorter workspace to
+    # fail on a bare ValueError
+    m64 = _float64(deep_copy_backbone(mid_model))
+    with pytest.raises(ConfigError):
+        KvCache(m64, 10, Workspace(MID, np.float32))
+    shorter = ModelConfig(n_layers=8, d_model=64, n_heads=4, d_ff=128, vocab_size=260,
+                          max_seq=64)
+    with pytest.raises(ConfigError):
+        KvCache(mid_model, 10, Workspace(shorter, np.float32))
+    assert KvCache(m64, 10, Workspace(MID, np.float64)).v[0].dtype == np.float64
 
 
 def _fill_nan(ws):
