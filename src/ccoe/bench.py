@@ -269,6 +269,8 @@ class AdapterSet:
 def make_adapters(
     backbone: BackboneModel, domains: list[str], rank: int, rng: Rng, zero_b: bool = False
 ) -> dict[str, AdapterSet]:
+    if rank < 1:
+        raise ConfigError(f"adapter rank must be >= 1, got {rank}")
     sets = {}
     for d in domains:
         pairs = {}

@@ -7,8 +7,11 @@ Workflows: ``pretrain`` a backbone into a run directory, ``train-expert`` /
 
 State lives in a manifest: line-delimited JSON records naming the backbone
 checkpoint, expert checkpoints (id, domain, positions), mapping-matrix rows,
-and the optional planner checkpoint. Manifest rewrites are atomic
-(write-temp-then-rename) and guarded by an advisory file lock. One global
+and the optional planner checkpoint. A command loads the registry
+(``lifecycle``) from it; after a ``push`` or ``pop --remove`` the expert and
+mapping records are written from the registry, not edited by hand, so a
+reload gates every domain as the live registry did. Manifest rewrites are
+atomic (write-temp-then-rename) and guarded by an advisory file lock. One global
 ``--seed`` feeds every random stream. Exit codes: 0 success, 1 usage,
 2 data/config, 3 numeric divergence, 4 checkpoint corruption.
 """
@@ -46,11 +49,11 @@ from .lifecycle import (
     memory_report,
     pop_copy,
     pop_remove,
-    push_checkpoint,
+    push,
 )
 from .model import BackboneModel, ModelConfig, init_backbone, init_expert
 from .rng import Rng
-from .routing import PlannerExpert, execute_plan, gate, init_planner
+from .routing import MappingMatrix, PlannerExpert, execute_plan, gate, init_planner
 from .tokenizer import EOS, decode
 from .training import (
     TrainConfig,
@@ -164,6 +167,16 @@ class Manifest:
             recs.append({"record": "planner", "path": self.planner})
         return recs
 
+    def record(self, registry: ExpertRegistry, pushed: dict[int, str]) -> None:
+        """Rewrite the expert and mapping records from ``registry`` and save.
+        An expert's checkpoint path is its entry in ``pushed``, else its
+        record's."""
+        paths = {r["id"]: r["path"] for r in self.experts} | pushed
+        self.experts = [{"id": eid, "domain": e.domain, "path": paths[eid],
+                         "positions": list(e.positions)} for eid, e in registry.experts.items()]
+        self.mapping = registry.mapping.to_records()
+        self.save()
+
     def save(self) -> None:
         body = "\n".join(json.dumps(r, sort_keys=True) for r in self.records()) + "\n"
         tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
@@ -189,25 +202,17 @@ def load_registry(manifest: Manifest, need_planner: bool = False) -> ExpertRegis
     backbone = load_checkpoint(manifest.resolve(manifest.backbone))
     if not isinstance(backbone, BackboneModel):
         raise ConfigError("backbone record does not point at a backbone checkpoint")
-    registry = ExpertRegistry(backbone=backbone, seed=manifest.seed)
+    registry = ExpertRegistry(backbone=backbone, seed=manifest.seed,
+                              mapping=MappingMatrix.from_records(manifest.mapping))
     for rec in manifest.experts:
-        push_checkpoint(registry, manifest.resolve(rec["path"]), rec["id"])
-    for row in manifest.mapping:
-        for eid in row["experts"]:
-            registry.mapping.associate(row["domain"], int(eid))
+        push(registry, manifest.resolve(rec["path"]), rec["id"])
     if manifest.planner:
         planner = load_checkpoint(manifest.resolve(manifest.planner))
         if not isinstance(planner, PlannerExpert):
             raise ConfigError("planner record is not a planner checkpoint")
-        # reconcile indicator rows with the expert set declared here
-        for eid in sorted(registry.experts):
-            if eid not in planner.indicator_ids:
-                planner.add_indicator(eid, Rng(manifest.seed).child("indicator", eid))
-                print(f"note: planner indicator for expert {eid} is uncalibrated", file=sys.stderr)
-        for eid in list(planner.indicator_ids):
-            if eid not in registry.experts:
-                planner.remove_indicator(eid)
         attach_planner(registry, planner)
+        for eid in sorted(registry.planner.uncalibrated):
+            print(f"note: planner indicator for expert {eid} is uncalibrated", file=sys.stderr)
     elif need_planner:
         raise DatasetError("this command needs a planner, but the manifest has none")
     return registry
@@ -322,35 +327,23 @@ def cmd_train_planner(args) -> int:
 
 
 def cmd_push(args) -> int:
-    manifest = Manifest.load(args.manifest)
-    with manifest_lock(manifest.path):
+    with manifest_lock(Path(args.manifest)):
+        manifest = Manifest.load(args.manifest)
         registry = load_registry(manifest)
         # validates budget + positions before any mutation
-        expert = push_checkpoint(registry, args.checkpoint, args.id)
+        expert = push(registry, args.checkpoint, args.id)
         rel = os.path.relpath(Path(args.checkpoint).resolve(), manifest.base.resolve())
-        manifest.experts = [e for e in manifest.experts if e["id"] != expert.expert_id]
-        manifest.experts.append({
-            "id": expert.expert_id,
-            "domain": expert.domain,
-            "path": rel,
-            "positions": list(expert.positions),
-        })
-        row = next((r for r in manifest.mapping if r["domain"] == expert.domain), None)
-        if row is None:
-            manifest.mapping.append({"domain": expert.domain, "experts": [expert.expert_id]})
-        elif expert.expert_id not in row["experts"]:
-            row["experts"].append(expert.expert_id)
-        manifest.save()
+        manifest.record(registry, {expert.expert_id: rel})
     print(f"pushed expert {expert.expert_id} ({expert.domain}); "
           f"registry total {registry.total_bytes():,d} bytes")
     return 0
 
 
 def cmd_pop(args) -> int:
-    manifest = Manifest.load(args.manifest)
     if args.copy == bool(args.remove):
         raise UsageError("pop requires exactly one of --copy/--remove")
-    with manifest_lock(manifest.path):
+    with manifest_lock(Path(args.manifest)):
+        manifest = Manifest.load(args.manifest)
         registry = load_registry(manifest)
         if args.copy:
             expert = pop_copy(registry, args.id)
@@ -361,11 +354,7 @@ def cmd_pop(args) -> int:
         else:
             before = registry.total_bytes()
             pop_remove(registry, args.id)
-            manifest.experts = [e for e in manifest.experts if e["id"] != args.id]
-            for row in manifest.mapping:
-                row["experts"] = [e for e in row["experts"] if e != args.id]
-            manifest.mapping = [r for r in manifest.mapping if r["experts"]]
-            manifest.save()
+            manifest.record(registry, {})
             print(f"removed expert {args.id}; freed {before - registry.total_bytes():,d} bytes")
     return 0
 

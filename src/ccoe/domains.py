@@ -69,8 +69,8 @@ class SyntheticDomain:
     tag: str  # single byte: domain tag during pretraining, routing marker otherwise
     fn: Callable[[str], str]
 
-    def sample_payload(self, rng: Rng, lo: int = PAYLOAD_MIN, hi: int = PAYLOAD_MAX) -> str:
-        n = int(rng.integers(lo, hi + 1))
+    def sample_payload(self, rng: Rng) -> str:
+        n = int(rng.integers(PAYLOAD_MIN, PAYLOAD_MAX + 1))
         return "".join(str(int(d)) for d in rng.integers(0, 10, size=n))
 
 
@@ -106,14 +106,18 @@ def _assemble(tag: str, task: str, answer: str) -> TrainExample:
     return TrainExample(ids=ids, mask=mask)
 
 
+def sample_chain(rng: Rng) -> tuple[str, str]:
+    """Two domain names in application order: a chainable domain first, then
+    any other domain."""
+    first = rng.choice(CHAINABLE)
+    return first, rng.choice([n for n in DOMAIN_NAMES if n != first])
+
+
 def random_markers(rng: Rng) -> str:
     """Marker string as routing metadata: one or two tags, chainable first."""
     if rng.uniform() < 0.5:
         return DOMAINS[rng.choice(DOMAIN_NAMES)].tag
-    first = DOMAINS[rng.choice(CHAINABLE)]
-    rest = [n for n in DOMAIN_NAMES if n != first.name]
-    second = DOMAINS[rng.choice(rest)]
-    return first.tag + second.tag
+    return "".join(DOMAINS[n].tag for n in sample_chain(rng))
 
 
 def sample_example(
@@ -205,9 +209,7 @@ def sample_composite(rng: Rng, n_steps: int) -> CompositeTask:
     if n_steps == 1:
         order = (rng.choice(DOMAIN_NAMES),)
     elif n_steps == 2:
-        first = rng.choice(CHAINABLE)
-        second = rng.choice([n for n in DOMAIN_NAMES if n != first])
-        order = (first, second)
+        order = sample_chain(rng)
     else:
         raise ValueError("composite tasks chain one or two experts")
     payload = DOMAINS["copy"].sample_payload(rng)

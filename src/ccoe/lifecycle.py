@@ -1,13 +1,21 @@
 """Expert lifecycle: the live registry, push/pop, and memory accounting.
 
 A registry is one resident backbone plus any number of expert overlays, a
-mapping matrix for rule-based gating, and an optional planner. Mutations are
-validate-then-commit: a refused push leaves every byte unchanged. Registered
-components are deep-copied in and their arrays made read-only, so nothing the
-caller does afterwards (training a popped copy, mutating the source) can reach
-inside the registry. An expert pushed from a checkpoint path is the one
-exception to the copy: no caller holds it, so it is frozen and registered as
-loaded.
+mapping matrix for rule-based gating, and an optional planner. It is the one
+record of what a deployment holds; the CLI's manifest is written from it.
+Mutations are validate-then-commit: a refused push leaves every byte
+unchanged. Registered components are deep-copied in and their arrays made
+read-only, so nothing the caller does afterwards (training a popped copy,
+mutating the source) can reach inside the registry. An expert pushed from a
+checkpoint path is the one exception to the copy: no caller holds it, so it
+is frozen and registered as loaded.
+
+A planner keeps one indicator row per registered expert. A newly registered
+expert gets a random row flagged uncalibrated, drawn from
+``Rng(registry.seed).child("indicator", expert_id)``; a removed expert's row
+goes with it. ``attach_planner`` reconciles by the same rule: it drops the
+rows of unregistered experts and gives each registered expert without a row
+that uncalibrated row.
 
 The accounting model counts resident parameter bytes (4 per float32) and backs
 the deployment comparison: one shared backbone plus small overlays versus one
@@ -68,65 +76,53 @@ def budget_limit_bytes(registry: ExpertRegistry) -> float:
 
 
 def push(
-    registry: ExpertRegistry, expert: ExpertSubnetwork | str | PathLike
-) -> ExpertRegistry:
-    """Add a new expert or atomically replace an existing one.
-
-    Validation (positions, budget, domain consistency) happens before any
-    mutation. A new id also gets a mapping association and a fresh, randomly
-    initialized planner indicator row flagged uncalibrated. An expert object
-    is registered as a copy; a checkpoint path is pushed as
-    ``push_checkpoint`` pushes it, under the id it was saved with.
-    """
-    if isinstance(expert, ExpertSubnetwork):
-        _admit(registry, expert, owned=False)
-    else:
-        push_checkpoint(registry, expert, None)
-    return registry
-
-
-def push_checkpoint(
-    registry: ExpertRegistry, path: str | PathLike, expert_id: int | None
+    registry: ExpertRegistry,
+    expert: ExpertSubnetwork | str | PathLike,
+    expert_id: int | None = None,
 ) -> ExpertSubnetwork:
-    """Push the expert checkpoint at ``path`` as ``push`` does, registered as
-    loaded, without a copy, under ``expert_id`` (None: the id it was saved
-    with). Returns the registered expert. A checkpoint that is not an expert
-    raises ``ConfigError``."""
-    expert = load_checkpoint(path)
-    if not isinstance(expert, ExpertSubnetwork):
-        raise ConfigError(f"checkpoint at {path} is not an expert")
-    if expert_id is not None:
-        expert.expert_id = expert_id
-    return _admit(registry, expert, owned=True)
+    """Add a new expert or atomically replace an existing one; returns the
+    registered expert.
 
-
-def _admit(registry: ExpertRegistry, expert: ExpertSubnetwork, owned: bool) -> ExpertSubnetwork:
-    """Validate, then register ``expert``, or a copy of it unless ``owned``;
-    returns what was registered."""
+    ``expert`` is an expert object, registered as a copy, or the path of an
+    expert checkpoint, registered as loaded; a checkpoint that is not an
+    expert raises ``ConfigError``. The expert is registered under
+    ``expert_id`` (None: its own id). Validation (positions, budget, domain
+    consistency) happens before any mutation. A new id also gets a mapping
+    association and, with a planner attached, an uncalibrated indicator row.
+    """
+    owned = not isinstance(expert, ExpertSubnetwork)
+    if owned:
+        path, expert = expert, load_checkpoint(expert)
+        if not isinstance(expert, ExpertSubnetwork):
+            raise ConfigError(f"checkpoint at {path} is not an expert")
+    eid = expert.expert_id if expert_id is None else expert_id
     validate_positions(registry.backbone.config, expert.positions)
     cost = param_bytes(expert)
     limit = budget_limit_bytes(registry)
     if cost > limit:
         raise BudgetError(
-            f"expert {expert.expert_id} needs {cost} bytes, over the "
+            f"expert {eid} needs {cost} bytes, over the "
             f"{float(BUDGET_FRACTION):.0%} budget of {limit:.0f}"
         )
-    existing = registry.experts.get(expert.expert_id)
+    existing = registry.experts.get(eid)
     if existing is not None and existing.domain != expert.domain:
         raise ConfigError(
-            f"expert {expert.expert_id} is registered for domain "
+            f"expert {eid} is registered for domain "
             f"{existing.domain!r}, refusing silent re-domain to {expert.domain!r}"
         )
     incoming = (expert if owned else deep_copy_expert(expert)).freeze()
-    is_new = existing is None
-    registry.experts[expert.expert_id] = incoming
-    if is_new:
-        registry.mapping.associate(expert.domain, expert.expert_id)
+    incoming.expert_id = eid
+    registry.experts[eid] = incoming
+    if existing is None:
+        registry.mapping.associate(incoming.domain, eid)
         if registry.planner is not None:
-            registry.planner.add_indicator(
-                expert.expert_id, Rng(registry.seed).child("indicator", expert.expert_id)
-            )
+            _add_indicator(registry, registry.planner, eid)
     return incoming
+
+
+def _add_indicator(registry: ExpertRegistry, planner: PlannerExpert, expert_id: int) -> None:
+    """Give ``expert_id`` the uncalibrated indicator row of a new expert."""
+    planner.add_indicator(expert_id, Rng(registry.seed).child("indicator", expert_id))
 
 
 def pop_copy(registry: ExpertRegistry, expert_id: int) -> ExpertSubnetwork:
@@ -148,12 +144,15 @@ def pop_remove(registry: ExpertRegistry, expert_id: int) -> ExpertRegistry:
 
 
 def attach_planner(registry: ExpertRegistry, planner: PlannerExpert) -> ExpertRegistry:
-    if sorted(planner.indicator_ids) != sorted(registry.experts):
-        raise ConfigError(
-            f"planner indicators {planner.indicator_ids} do not match "
-            f"registered experts {sorted(registry.experts)}"
-        )
-    registry.planner = deep_copy_planner(planner)
+    """Attach a copy of ``planner`` with its indicator rows reconciled to the
+    registered experts (see the module docstring)."""
+    planner = deep_copy_planner(planner)
+    for eid in [e for e in planner.indicator_ids if e not in registry.experts]:
+        planner.remove_indicator(eid)
+    for eid in sorted(registry.experts):
+        if eid not in planner.indicator_ids:
+            _add_indicator(registry, planner, eid)
+    registry.planner = planner
     return registry
 
 

@@ -21,7 +21,7 @@ variance stays bounded with depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,14 +54,7 @@ class ModelConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "max_seq": self.max_seq,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -234,9 +227,12 @@ def init_expert(
     """Fresh expert by the init rule. With ``warm_from`` the sublayers start
     as exact copies of the backbone's feed-forward sublayers at the same
     positions (requires matching inner width), so the spliced model is
-    initially bit-identical to the base model."""
+    initially bit-identical to the base model. ``inner_width`` None means
+    the backbone's ``d_ff``; a width below 1 raises ``ConfigError``."""
     validate_positions(config, tuple(positions))
-    width = config.d_ff if (inner_width is None and warm_from is not None) else (inner_width or config.d_ff)
+    width = config.d_ff if inner_width is None else inner_width
+    if width < 1:
+        raise ConfigError(f"inner_width must be >= 1, got {width}")
     if warm_from is not None and width != config.d_ff:
         raise ConfigError("warm-start requires inner_width == backbone d_ff")
     if warm_from is None:

@@ -65,6 +65,11 @@ class MappingMatrix:
             for tag, row in sorted(self.rows.items())
         ]
 
+    @classmethod
+    def from_records(cls, records: list[dict]) -> "MappingMatrix":
+        """The matrix ``to_records`` wrote, an empty row included."""
+        return cls({r["domain"]: dict.fromkeys(r["experts"], 1) for r in records})
+
 
 @dataclass(frozen=True)
 class ExecutionPath:

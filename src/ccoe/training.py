@@ -10,7 +10,7 @@ backbone's tensors are simply never handed to the optimizer, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ EVAL_CHUNK = 64  # planner steps scored per forward pass in evaluate_planner
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 MIN_LR_FRAC = 0.05  # the cosine schedule's floor, as a share of the peak rate
 SNAPSHOT_EVERY = 250  # steps between the snapshots a divergence falls back to
+DOUBLE_FRAC = 0.5  # the share of planner tasks that chain two experts
 
 
 @dataclass
@@ -50,6 +51,10 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.log_every < 1:
+            raise ConfigError("log_every must be >= 1")
         return self
 
 
@@ -60,7 +65,7 @@ class LossRecord:
     token_accuracy: float
 
     def to_dict(self) -> dict:
-        return {"step": self.step, "loss": self.loss, "token_accuracy": self.token_accuracy}
+        return asdict(self)
 
 
 def lr_at(cfg: TrainConfig, step: int) -> float:
@@ -247,22 +252,16 @@ def _example_loss(backbone: BackboneModel, expert: ExpertSubnetwork | None, samp
     return loss_at
 
 
-def pretrain_backbone(
-    config, cfg: TrainConfig, domain_names: tuple[str, ...] = dom.DOMAIN_NAMES
-) -> tuple[BackboneModel, list[LossRecord]]:
+def pretrain_backbone(config, cfg: TrainConfig) -> tuple[BackboneModel, list[LossRecord]]:
     """Train a fresh backbone on the tagged mixture of all domains, then
     freeze it permanently."""
     rng = Rng(cfg.seed)
     model = init_backbone(config, rng.child("init"))
     data_rng = rng.child("data")
-    names = tuple(domain_names)
 
     def sample_batch(step: int) -> list[dom.TrainExample]:
-        return [
-            dom.sample_example(dom.DOMAINS[names[int(data_rng.integers(0, len(names)))]],
-                               data_rng, tagged=True)
-            for _ in range(cfg.batch_size)
-        ]
+        return [dom.sample_example(dom.DOMAINS[data_rng.choice(dom.DOMAIN_NAMES)], data_rng,
+                                   tagged=True) for _ in range(cfg.batch_size)]
 
     trainable = {("backbone", k): v for k, v in model.params.items()}
     curve = _run_training(trainable, _example_loss(model, None, sample_batch), cfg)
@@ -337,7 +336,6 @@ def build_planner_dataset(
     domain_to_expert: dict[str, int],
     n_tasks: int,
     rng: Rng,
-    double_frac: float = 0.5,
 ) -> list[PlannerTask]:
     """Supervised routing tasks with teacher-forced carried context.
 
@@ -348,7 +346,7 @@ def build_planner_dataset(
 
     tasks: list[PlannerTask] = []
     for _ in range(n_tasks):
-        n_steps = 2 if rng.uniform() < double_frac else 1
+        n_steps = 2 if rng.uniform() < DOUBLE_FRAC else 1
         ct = dom.sample_composite(rng, n_steps)
         steps = []
         carried = None
@@ -423,13 +421,7 @@ class PlannerMetrics:
     n_double: int
 
     def to_dict(self) -> dict:
-        return {
-            "single_selection_accuracy": self.single_selection_accuracy,
-            "double_order_accuracy": self.double_order_accuracy,
-            "sequence_accuracy": self.sequence_accuracy,
-            "n_single": self.n_single,
-            "n_double": self.n_double,
-        }
+        return asdict(self)
 
 
 def evaluate_planner(planner, backbone: BackboneModel, tasks: list[PlannerTask]) -> PlannerMetrics:

@@ -11,6 +11,7 @@ from ccoe.cli import Manifest, main, manifest_lock
 from ccoe.model import ModelConfig, init_backbone, init_expert, param_bytes
 from ccoe.net import Workspace
 from ccoe.rng import Rng
+from ccoe.routing import MappingMatrix, init_planner
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=260, max_seq=64)
 
@@ -177,3 +178,72 @@ def test_report_memory_shows_the_workspace_outside_the_total(tmp_path, capsys):
     assert main(["report-memory", "--manifest", str(manifest.path)]) == 0
     table = capsys.readouterr().out
     assert f"{workspace:,d}  (runtime, not in total)" in table
+
+
+def _expert_manifest(tmp_path) -> Manifest:
+    """A backbone manifest with expert 0 (copy) recorded, mapping row and all."""
+    backbone = init_backbone(TINY, Rng(5)).freeze()
+    manifest = _backbone_manifest(tmp_path, backbone)
+    save_checkpoint(init_expert(TINY, 0, "copy", (1,), Rng(6), warm_from=backbone),
+                    tmp_path / "expert.ccoe")
+    manifest.experts.append({"id": 0, "domain": "copy", "path": "expert.ccoe", "positions": [1]})
+    manifest.mapping.append({"domain": "copy", "experts": [0]})
+    manifest.save()
+    return manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--batch-size", "0", "--steps", "1"],
+    ["train-expert", "--domain", "copy", "--batch-size", "0"],
+    ["train-expert", "--domain", "copy", "--cold", "--inner-width", "0"],
+    ["train-expert", "--domain", "copy", "--cold", "--inner-width", "-1"],
+    ["bench", "--adapter-rank", "-1"],
+    ["bench", "--adapter-rank", "0"],
+])
+def test_a_setting_below_one_exits_with_data_error(tmp_path, capsys, argv):
+    manifest = _expert_manifest(tmp_path)
+    workload = tmp_path / "workload.jsonl"
+    workload.write_text('{"domain": "copy", "prompt": "ab"}\n')
+    where = {"pretrain": ["--out-dir", str(tmp_path / "run")],
+             "train-expert": ["--manifest", str(manifest.path)],
+             "bench": ["--manifest", str(manifest.path), "--workload", str(workload),
+                       "--repeat", "1", "--max-new", "1"]}[argv[0]]
+    assert main([*argv, *where]) == 2  # ConfigError
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("expert-copy*"))  # no expert was trained
+
+
+def test_a_domain_whose_only_expert_was_removed_answers_with_the_base_model(tmp_path, capsys):
+    manifest = _backbone_manifest(tmp_path)
+    save_checkpoint(init_expert(TINY, 0, "copy", (1,), Rng(6)), tmp_path / "expert.ccoe")
+    argv = ["--manifest", str(manifest.path)]
+    assert main(["push", *argv, "--checkpoint", str(tmp_path / "expert.ccoe")]) == 0
+    assert main(["pop", *argv, "--id", "0", "--remove"]) == 0
+    capsys.readouterr()
+    # the live registry kept an empty copy row; so does the manifest written from it
+    written = Manifest.load(manifest.path)
+    assert MappingMatrix.from_records(written.mapping).rows == {"copy": {}}
+    assert written.experts == []
+    assert main(["infer", *argv, "--domain", "copy", "--prompt", "ab", "--max-new", "2"]) == 0
+    assert capsys.readouterr().out.startswith("base: ")
+
+
+def test_a_pushed_expert_gets_an_uncalibrated_planner_row_on_every_load(tmp_path, capsys):
+    manifest = _expert_manifest(tmp_path)
+    planner = init_planner(TINY, [0], (0,), Rng(8))
+    save_checkpoint(planner, tmp_path / "planner.ccoe")
+    manifest.planner = "planner.ccoe"
+    manifest.save()
+    save_checkpoint(init_expert(TINY, 3, "reverse", (0,), Rng(9)), tmp_path / "reverse.ccoe")
+    argv = ["--manifest", str(manifest.path)]
+    assert main(["push", *argv, "--checkpoint", str(tmp_path / "reverse.ccoe")]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["report-memory", *argv]) == 0
+        err = capsys.readouterr().err
+        assert "indicator for expert 3 is uncalibrated" in err
+        assert "expert 0 is" not in err
+    assert main(["pop", *argv, "--id", "3", "--remove"]) == 0
+    capsys.readouterr()
+    assert main(["report-memory", *argv]) == 0
+    assert "uncalibrated" not in capsys.readouterr().err

@@ -16,7 +16,6 @@ from ccoe.lifecycle import (
     budget_limit_bytes,
     memory_report,
     push,
-    push_checkpoint,
 )
 from ccoe.model import ExpertSubnetwork, ModelConfig, init_backbone, init_expert, param_bytes
 from ccoe.rng import Rng
@@ -96,7 +95,7 @@ def test_push_checkpoint_registers_the_loaded_expert_under_the_given_id(tmp_path
     reg = registry_with_planner()
     path = tmp_path / "copy.ccoe"
     save_checkpoint(init_expert(TINY, 0, "sort_digits", (1,), Rng(62)), path)
-    pushed = push_checkpoint(reg, path, 7)
+    pushed = push(reg, path, 7)
     assert pushed.expert_id == 7 and reg.experts[7] is pushed
     assert 0 not in reg.experts
     assert reg.mapping.rows["sort_digits"] == {7: 1}
@@ -117,3 +116,34 @@ def test_memory_report_shows_the_workspace_beside_an_unchanged_total():
     assert report.capped_total == Fraction(356096, 5)
     assert report.capped_reduction == Fraction(7, 20)
     assert {"runtime": "workspace", "bytes": ws.nbytes} in report.records()
+
+
+def test_attach_planner_drops_a_stale_row_and_adds_a_missing_one_as_push_would():
+    live = registry_with_planner()
+    push(live, init_expert(TINY, 6, "mod_add", (1,), Rng(7)))
+    pushed_row = live.planner.indicators[live.planner.indicator_ids.index(6)]
+    assert live.planner.uncalibrated == {6}
+
+    reg = ExpertRegistry(backbone=live.backbone, seed=live.seed)
+    for eid in sorted(live.experts):
+        push(reg, live.experts[eid])
+    stale = init_planner(TINY, [1, 4, 9], (0,), Rng(2).child("pl"))
+    rows = stale.indicators.copy()
+    attach_planner(reg, stale)
+
+    planner = reg.planner
+    assert planner.indicator_ids == [1, 4, 6] and planner.uncalibrated == {6}
+    assert np.array_equal(planner.indicators[2], pushed_row)
+    # the kept rows and the STOP row are the given planner's
+    assert np.array_equal(planner.indicators[[0, 1, 3]], rows[[0, 1, 3]])
+    assert stale.indicator_ids == [1, 4, 9] and np.array_equal(stale.indicators, rows)
+
+
+def test_push_registers_an_expert_object_as_a_copy_under_the_given_id():
+    reg = registry_with_planner()
+    expert = init_expert(TINY, 0, "sort_digits", (1,), Rng(62))
+    pushed = push(reg, expert, 7)
+    assert pushed is reg.experts[7] and pushed is not expert
+    assert pushed.expert_id == 7 and expert.expert_id == 0 and 0 not in reg.experts
+    assert not np.shares_memory(pushed.params["p1.w1"], expert.params["p1.w1"])
+    assert reg.mapping.rows["sort_digits"] == {7: 1} and reg.planner.uncalibrated == {7}

@@ -507,6 +507,12 @@ def test_invalid_train_config_rejected():
         TrainConfig(steps=0).validate()
 
 
+@pytest.mark.parametrize("bad", [{"batch_size": 0}, {"log_every": 0}])
+def test_train_config_rejects_a_count_below_one(bad):
+    with pytest.raises(ConfigError, match="must be >= 1"):
+        TrainConfig(**bad).validate()
+
+
 def test_pretrain_smoke_loss_halves():
     cfg = TrainConfig(learning_rate=1e-2, batch_size=16, steps=200, seed=11,
                       warmup_steps=10, log_every=10)
