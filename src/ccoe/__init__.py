@@ -43,7 +43,6 @@ from .routing import (
     ExecutionPath,
     MappingMatrix,
     PlannerExpert,
-    Subtask,
     execute_plan,
     gate,
     init_planner,
@@ -62,7 +61,7 @@ from .training import (
 __all__ = [
     "BackboneModel", "BenchReport", "DOMAINS", "ExecutionPath", "ExpertRegistry",
     "ExpertSubnetwork", "KvCache", "MappingMatrix", "ModelConfig", "PlannerExpert",
-    "Rng", "STOP", "Subtask", "SyntheticDomain", "TrainConfig", "Workload",
+    "Rng", "STOP", "SyntheticDomain", "TrainConfig", "Workload",
     "ablate_insertion", "attach_planner", "digest",
     "evaluate_exact_match", "evaluate_planner", "execute_plan", "forward_base",
     "forward_with_expert", "gate", "greedy_decode",

@@ -2,8 +2,9 @@
 
 Workflows: ``pretrain`` a backbone into a run directory, ``train-expert`` /
 ``train-planner`` against it, manage the registry with ``push`` / ``pop`` /
-``report-memory``, serve with ``infer`` (rule-based gating) and ``route``
-(planner), and measure with ``bench`` / ``ablate``.
+``report-memory``, serve with ``infer`` (rule-based gating: a line per
+``routing.answerers`` entry) and ``route`` (planner), and measure with
+``bench`` / ``ablate``.
 
 State lives in a manifest: line-delimited JSON records naming the backbone
 checkpoint, expert checkpoints (id, domain, positions), mapping-matrix rows,
@@ -53,7 +54,7 @@ from .lifecycle import (
 )
 from .model import BackboneModel, ModelConfig, init_backbone, init_expert
 from .rng import Rng
-from .routing import MappingMatrix, PlannerExpert, execute_plan, gate, init_planner
+from .routing import MappingMatrix, PlannerExpert, answerers, execute_plan, init_planner
 from .tokenizer import EOS, decode
 from .training import (
     TrainConfig,
@@ -280,7 +281,7 @@ def cmd_train_expert(args) -> int:
             args.domain,
             positions,
             Rng(args.seed).child("expert-init", args.domain),
-            inner_width=None if not args.cold else args.inner_width,
+            inner_width=args.inner_width,
             warm_from=None if args.cold else backbone,
         )
     result = train_expert(expert, backbone, dom.DOMAINS[args.domain], cfg)
@@ -372,17 +373,11 @@ def cmd_report_memory(args) -> int:
 
 def cmd_infer(args) -> int:
     registry = load_registry(Manifest.load(args.manifest))
-    paths = gate(registry.mapping, registry, [(args.domain, args.prompt)])
     prompt_ids = dom.step_prompt_tokens(None, args.prompt)
-    steps = paths[0].steps
-    if not steps:
-        out = greedy_decode(registry.backbone, None, prompt_ids, max_new=args.max_new)
-        print(f"base: {decode([i for i in out if i != EOS])}")
-        return 0
-    for eid, _pos in steps:
-        expert = registry.experts[eid]
+    for expert in answerers(registry, args.domain):
         out = greedy_decode(registry.backbone, expert, prompt_ids, max_new=args.max_new)
-        print(f"expert {eid} ({expert.domain}): {decode([i for i in out if i != EOS])}")
+        label = "base" if expert is None else f"expert {expert.expert_id} ({expert.domain})"
+        print(f"{label}: {decode([i for i in out if i != EOS])}")
     return 0
 
 
@@ -425,22 +420,19 @@ def cmd_bench(args) -> int:
     registry = load_registry(Manifest.load(args.manifest))
     workload = _load_workload(args.workload, args.repeat)
     rng = Rng(args.seed)
-    reports = [run_ccoe(registry, workload, max_new=args.max_new)]
     config = registry.backbone.config
     domains = sorted({d for d, _ in workload.items})
-    models = {
-        d: init_backbone(config, rng.child("mdme", d)) for d in domains
-    }
-    for m in models.values():
-        m.freeze()
-    reports.append(run_mdme_baseline(models, workload, max_new=args.max_new))
+    # every system is built before any serves, so a bad setting exits first
+    models = {d: init_backbone(config, rng.child("mdme", d)).freeze() for d in domains}
+    adapters = make_adapters(registry.backbone, domains, rank=args.adapter_rank,
+                             rng=rng.child("adapters"))
+    reports = [run_ccoe(registry, workload, max_new=args.max_new),
+               run_mdme_baseline(models, workload, max_new=args.max_new)]
     if args.budget is not None:
         reports.append(
             run_mdme_baseline(models, workload, resident_budget_bytes=args.budget,
                               max_new=args.max_new)
         )
-    adapters = make_adapters(registry.backbone, domains, rank=args.adapter_rank,
-                             rng=rng.child("adapters"))
     reports.append(run_adapter_baseline(registry.backbone, adapters, workload,
                                         max_new=args.max_new))
     print(report_table(reports))

@@ -6,6 +6,10 @@ expert, ascending expert id, each step carrying that expert's insertion
 positions. An all-zero row is a legal outcome meaning "answer with the base
 model".
 
+The serving rule is written once: ``answerers`` gives the models that answer
+a domain's query, the experts of its path in order or the base model (None)
+for an all-zero row. The CLI's ``infer`` and ``bench`` serve through it.
+
 Planner routing scores every registered expert (plus a reserved STOP slot) for
 the current subtask: the subtask runs through the backbone with the planner's
 own expert spliced in, and each candidate's learned indicator vector
@@ -13,7 +17,8 @@ cross-attends over the subtask's final hidden states into a scalar match score
 via a linear head. That cross-attention is the block's own
 ``kernels.attention`` (and ``attention_bwd``) with one head. Execution is
 iterative: the winning expert decodes the subtask, its output is carried into
-the next subtask's context, and the loop ends on STOP or the step cap.
+the next subtask's context, and the loop ends on STOP or the step cap. An
+expert step and the STOP-first base-model fallback share one room rule.
 """
 
 from __future__ import annotations
@@ -96,26 +101,13 @@ def gate(mapping: MappingMatrix, registry, queries) -> list[ExecutionPath]:
     return paths
 
 
-@dataclass
-class Subtask:
-    """One planner step: the original query text plus carried context."""
-
-    index: int
-    query_text: str
-    carried: str | None = None
-
-    def tokens(self, max_seq: int) -> tuple[list[int], bool]:
-        """Scoring tokens; carried context is trimmed oldest-first to fit."""
-        toks = dom.subtask_tokens(self.index, self.carried, self.query_text)
-        truncated = False
-        while len(toks) > max_seq and self.carried:
-            drop = len(toks) - max_seq
-            self.carried = self.carried[drop:] or None
-            toks = dom.subtask_tokens(self.index, self.carried, self.query_text)
-            truncated = True
-        if len(toks) > max_seq:
-            raise RoutingError(f"subtask of {len(toks)} tokens cannot fit context {max_seq}")
-        return toks, truncated
+def answerers(registry, domain: str) -> list[ExpertSubnetwork | None]:
+    """The experts of ``domain``'s gated path in order, or ``[None]`` (the
+    base model) for an all-zero row. Raises ``gate``'s errors: ``GatingError``
+    for an unknown domain, ``UnknownExpertError`` for an unregistered mapped
+    expert."""
+    path = gate(registry.mapping, registry, [(domain, None)])[0]
+    return [registry.experts[eid] for eid in path.expert_ids()] or [None]
 
 
 @dataclass
@@ -330,6 +322,19 @@ def select_expert(scores: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
+def _answer(backbone: BackboneModel, expert: ExpertSubnetwork | None, carried: str | None,
+            query: str, max_new: int) -> str:
+    """``expert`` (None: the base model) decodes the step prompt for up to
+    ``max_new`` tokens the context has room for; no room raises
+    ``RoutingError``. Returns the text with EOS stripped."""
+    prompt = dom.step_prompt_tokens(carried, query)
+    room = backbone.config.max_seq - len(prompt)
+    if room < 1:
+        raise RoutingError("no context room left to decode a subtask")
+    out = greedy_decode(backbone, expert, prompt, max_new=min(max_new, room))
+    return decode([i for i in out if i != EOS])
+
+
 def execute_plan(
     query: str,
     planner: PlannerExpert,
@@ -340,39 +345,36 @@ def execute_plan(
     """Iterative planner execution.
 
     Each step scores the current subtask, routes to the winning expert, decodes
-    its answer, and carries that answer into the next subtask. STOP (or the
-    step cap) ends the loop; if STOP wins immediately the base model answers.
-    A ``max_steps`` that is not an integer >= 1 (1.5, True) raises
+    its answer (``_answer``), and carries that answer, trimmed oldest-first
+    to fit, into the next subtask. STOP (or the step cap) ends the loop; if
+    STOP wins immediately the base model answers by the same rule. A
+    ``max_steps`` that is not an integer >= 1 (1.5, True) raises
     ``RoutingError``.
     """
     max_steps = check_count(max_steps, "max_steps", RoutingError)
     backbone = registry.backbone
+    max_seq = backbone.config.max_seq
     carried: str | None = None
     steps: list[tuple[int, tuple[int, ...]]] = []
     truncated = False
     for t in range(1, max_steps + 1):
-        sub = Subtask(index=t, query_text=query, carried=carried)
-        tokens, trunc = sub.tokens(backbone.config.max_seq)
-        truncated = truncated or trunc
-        carried = sub.carried
-        scores = score_tokens(planner, backbone, tokens)
-        idx = select_expert(scores)
+        tokens = dom.subtask_tokens(t, carried, query)
+        while len(tokens) > max_seq and carried:
+            carried = carried[len(tokens) - max_seq:] or None
+            tokens = dom.subtask_tokens(t, carried, query)
+            truncated = True
+        if len(tokens) > max_seq:
+            raise RoutingError(f"subtask of {len(tokens)} tokens cannot fit context {max_seq}")
+        idx = select_expert(score_tokens(planner, backbone, tokens))
         if idx == planner.stop_index():
             break
         eid = planner.indicator_ids[idx]
         if eid not in registry.experts:
             raise UnknownExpertError(f"planner selected unregistered expert {eid}")
         expert = registry.experts[eid]
-        prompt = dom.step_prompt_tokens(carried, query)
-        room = backbone.config.max_seq - len(prompt)
-        if room < 1:
-            raise RoutingError("no context room left to decode a subtask")
-        out = greedy_decode(backbone, expert, prompt, max_new=min(max_new, room))
-        carried = decode([i for i in out if i != EOS])
+        carried = _answer(backbone, expert, carried, query, max_new)
         steps.append((eid, expert.positions))
     if not steps:
-        prompt = dom.step_prompt_tokens(None, query)
-        out = greedy_decode(backbone, None, prompt, max_new=max_new)
-        carried = decode([i for i in out if i != EOS])
+        carried = _answer(backbone, None, None, query, max_new)
     path = ExecutionPath(steps=tuple(steps), origin="planning", truncated=truncated)
     return carried or "", path

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ccoe import cli
 from ccoe.checkpoint import save_checkpoint
 from ccoe.cli import Manifest, main, manifest_lock
 from ccoe.model import ModelConfig, init_backbone, init_expert, param_bytes
@@ -200,7 +201,9 @@ def _expert_manifest(tmp_path) -> Manifest:
     ["bench", "--adapter-rank", "-1"],
     ["bench", "--adapter-rank", "0"],
 ])
-def test_a_setting_below_one_exits_with_data_error(tmp_path, capsys, argv):
+def test_a_setting_below_one_exits_with_data_error(tmp_path, capsys, monkeypatch, argv):
+    # bench checks its settings before any system serves
+    monkeypatch.setattr(cli, "run_ccoe", lambda *a, **k: pytest.fail("served"))
     manifest = _expert_manifest(tmp_path)
     workload = tmp_path / "workload.jsonl"
     workload.write_text('{"domain": "copy", "prompt": "ab"}\n')
@@ -211,6 +214,29 @@ def test_a_setting_below_one_exits_with_data_error(tmp_path, capsys, argv):
     assert main([*argv, *where]) == 2  # ConfigError
     assert "must be >= 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("expert-copy*"))  # no expert was trained
+
+
+def test_a_warm_expert_of_another_inner_width_exits_with_data_error(tmp_path, capsys):
+    manifest = _expert_manifest(tmp_path)
+    argv = ["train-expert", "--manifest", str(manifest.path), "--domain", "copy",
+            "--inner-width", str(TINY.d_ff // 2), "--steps", "1"]
+    assert main(argv) == 2  # ConfigError; the width used to be dropped for d_ff
+    assert "warm-start requires inner_width" in capsys.readouterr().err
+    assert not list(tmp_path.glob("expert-copy*"))
+
+
+def test_infer_on_a_domain_of_two_experts_prints_a_line_per_expert_in_id_order(tmp_path, capsys):
+    manifest = _expert_manifest(tmp_path)
+    save_checkpoint(init_expert(TINY, 3, "reverse", (0,), Rng(9)), tmp_path / "reverse.ccoe")
+    manifest.experts.append({"id": 3, "domain": "reverse", "path": "reverse.ccoe",
+                             "positions": [0]})
+    manifest.mapping = [{"domain": "copy", "experts": [3, 0]}]
+    manifest.save()
+    argv = ["infer", "--manifest", str(manifest.path), "--domain", "copy", "--prompt", "ab",
+            "--max-new", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["expert 0 (copy)", "expert 3 (reverse)"]
 
 
 def test_a_domain_whose_only_expert_was_removed_answers_with_the_base_model(tmp_path, capsys):

@@ -8,7 +8,7 @@ from ccoe.errors import GatingError, RoutingError, UnknownExpertError
 from ccoe.lifecycle import ExpertRegistry
 from ccoe.model import ModelConfig, deep_copy_backbone, init_backbone, init_expert
 from ccoe.rng import Rng
-from ccoe.routing import MappingMatrix, execute_plan, gate, init_planner
+from ccoe.routing import MappingMatrix, answerers, execute_plan, gate, init_planner
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=260, max_seq=64)
 
@@ -54,6 +54,9 @@ def test_gate_on_an_all_zero_row_gives_the_base_model(registry):
     base, both = gate(mapping, registry, [("copy", "abc"), ("both", "abc")])
     assert base.steps == ()  # no expert step: the base model answers
     assert both.expert_ids() == (1, 4)
+    mapped = ExpertRegistry(backbone=registry.backbone, experts=registry.experts, mapping=mapping)
+    assert answerers(mapped, "copy") == [None]
+    assert answerers(mapped, "both") == [registry.experts[1], registry.experts[4]]
 
 
 # --- planner execution ------------------------------------------------------------
@@ -85,6 +88,15 @@ def test_execute_plan_flags_carried_context_trimmed_to_fit(registry, tied_planne
     assert len(path.steps) == 2
     assert path.truncated
     assert text == "\x00"  # step 2's prompt left room for one token
+
+
+def test_a_stop_first_fallback_decodes_only_what_the_context_has_room_for(registry):
+    # the 53-token step prompt leaves room for 11 of the 16 new tokens, as it
+    # does for an expert step; the fallback used to ask for all 16 and raise
+    stop_only = init_planner(TINY, [], (0,), Rng(9))
+    text, path = execute_plan("x" * 50, stop_only, registry, max_steps=2, max_new=16)
+    assert path.steps == ()
+    assert text == "\x00" * 11
 
 
 # --- planner scoring ----------------------------------------------------------
