@@ -1,21 +1,13 @@
 """Serving-efficiency benchmarks and the insertion-strategy ablation.
 
-Three systems decode the same workload with identical kernels, cache policy and
-greedy rule; only residency and switching semantics differ:
-
-- shared-backbone registry: everything resident, a switch is a table lookup;
-- model ensemble (one full model per domain): unconstrained keeps all models
-  resident; under a byte budget, models are evicted LRU and re-loaded from
-  their serialized form on demand, with deserialization time charged to the
-  run;
-- adapter serving: one set of low-rank deltas per domain on the shared
-  backbone; every domain switch re-materializes effective weights W + A@B for
-  all adapted maps, and that work is charged to the run.
-
-Peak memory is resident parameter bytes, tracked instant by instant so report
-peaks always equal a sum of component ledgers. Throughput is generated tokens
-over total serving wall time (switch work included), measured after one
-untimed warmup repetition.
+Three systems decode one workload with the same kernels, cache and greedy
+rule and differ only in residency and switching: the shared-backbone
+registry (all resident, a switch is a lookup); one full model per domain
+(all resident, or under a byte budget evicted LRU and reloaded from its
+checkpoint); and low-rank adapters on the shared backbone (a switch
+re-materializes W + A@B for every adapted map). Switch work counts toward
+the run. Peak memory is resident parameter bytes; throughput is generated
+tokens over serving wall time, after one untimed warm-up.
 """
 
 from __future__ import annotations
@@ -114,17 +106,12 @@ def report_table(reports: list[BenchReport]) -> str:
 
 
 def _serve(system: str, workload: Workload, switch, max_new: int, peak) -> BenchReport:
-    """Serve ``workload`` once untimed (the warm-up), then
-    ``workload.repetitions`` times timed, and report the timed passes.
-
-    Prompts are tokenized once, before the warm-up. At each pass's first
-    query and at every change of domain, ``switch(domain)`` returns (model,
-    experts): the model to decode on and the experts that answer each query
-    in turn (None: the model alone). Its time counts as switch overhead.
-    ``peak()`` gives the resident parameter bytes' peak; it is read after the
-    passes. A repetition count that is not an integer >= 1 raises
-    ``WorkloadError``.
-    """
+    """Serve ``workload`` once untimed, then ``workload.repetitions`` times
+    timed, and report the timed passes. At a pass's first query and each change
+    of domain, ``switch(domain)`` returns (model, the experts that answer in
+    turn, None for the model alone), timed as switch overhead; ``peak()`` is
+    read after the passes. A repetition count that is not an integer >= 1
+    raises ``WorkloadError``."""
     stream = [(domain, dom.step_prompt_tokens(None, prompt)) for domain, prompt in workload.items]
 
     def serve() -> tuple[int, float, int, float]:
@@ -161,7 +148,8 @@ def _serve(system: str, workload: Workload, switch, max_new: int, peak) -> Bench
 
 
 def run_ccoe(registry: ExpertRegistry, workload: Workload, max_new: int = 12) -> BenchReport:
-    """Serve the workload from the registry via rule-based gating."""
+    """Serve the workload from the registry through ``routing.answerers``; a
+    domain without a mapping row raises ``WorkloadError``."""
     for domain, _ in workload.items:
         if domain not in registry.mapping.rows:
             raise WorkloadError(f"registry cannot serve domain {domain!r}")
@@ -178,10 +166,10 @@ def run_mdme_baseline(
     resident_budget_bytes: int | None = None,
     max_new: int = 12,
 ) -> BenchReport:
-    """One full model per domain. Under a budget, models are LRU-evicted and
-    re-loaded (deserialize + digest check) on demand; load time counts. A
-    budget below the largest model the workload needs raises
-    ``ConfigError``."""
+    """One full model per domain; under a budget, models are evicted LRU and
+    reloaded (deserialize and digest check) on demand, load time counted. A
+    domain without a model raises ``WorkloadError``, a budget below the
+    largest model the workload needs ``ConfigError``."""
     import os
     import tempfile
 

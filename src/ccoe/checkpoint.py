@@ -1,31 +1,17 @@
 """Binary checkpoint format with integrity digests.
 
 Layout (format version 2): magic ``CCOE`` | u32 format version | u64 header
-length | 32-byte SHA-256 over the magic, version, length and header bytes |
-header JSON (UTF-8, canonical: sorted keys, no whitespace) | tensor records.
-Each record is u32 name length, name bytes, u32 rank, u32 dims, u64 payload
-bytes, raw little-endian float32 data; records are ordered by tensor name.
-The header carries a SHA-256 over the full records section plus the count of
-raw data bytes, so the header checksum and the records digest together cover
-every byte of the file: a load verifies both before constructing anything,
-and ledger code can equate accounted bytes with serialized payload bytes
-exactly. Canonical ordering makes save -> load -> save byte-identical.
-
-The records are walked once in each direction, one record at a time. Saving
-and ``digest`` hash and write each record's head and a byte view of its array,
-so they build nothing larger than one record (a save hashes, then writes). A
-load checks the prefix and the header checksum, then sizes every array from
-the header's tensor list, held first to the shapes its kind and config call
-for and to the file's length, so no length read from an unchecked record ever
-sizes an allocation. It reads each record's data straight into its array
-while hashing, and builds the component only once the records digest matches.
-So a load holds the component's bytes plus the header and a read buffer,
-and a save or a digest at most one record's converted copy (for an array that
-is not little-endian float32) and, for a save, the header.
-
-Every way a file can be short, damaged or malformed raises
-``CorruptionError``; a file of another format version raises
-``VersionError``.
+length | 32-byte SHA-256 over the magic, version, length and header |
+header JSON (UTF-8, sorted keys, no whitespace) | tensor records. A record
+is u32 name length, name, u32 rank, u32 dims, u64 payload bytes and raw
+little-endian float32 data; records are in name order. The header carries
+the records' SHA-256 and data byte count, so the two digests cover every
+byte, and save -> load -> save is byte-identical. A load sizes every array
+from the header, held to the shapes its kind and config call for and to the
+file's length, before it reads a record, and holds the component plus one
+read buffer; a save or ``digest`` builds at most one record's copy. A
+short, damaged or malformed file raises ``CorruptionError``, and another
+format version ``VersionError``.
 """
 
 from __future__ import annotations
@@ -70,9 +56,8 @@ def _data(arr: np.ndarray) -> np.ndarray:
 
 
 def _records(tensors: dict[str, np.ndarray]):
-    """The canonical records section, one record at a time, as (head, data):
-    the record's bytes before its data and a byte view of its little-endian
-    float32 array. Nothing the size of the section is built."""
+    """The canonical records section as (head, data) per record: the bytes
+    before its data and a byte view of its little-endian float32 array."""
     for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f4")
         yield _record_head(name, arr.shape), _data(arr)
@@ -144,9 +129,8 @@ _HEADER_ERRORS = (ConfigError, AttributeError, KeyError, TypeError, ValueError, 
 
 def _expected_shapes(header: dict[str, Any]) -> dict[str, tuple[int, ...]]:
     """Name -> shape of the tensors the header's kind, config, positions,
-    inner width and indicator ids call for. The model width, which expert and
-    planner headers do not record, is read from the header's listed shape of
-    a pre-norm gain or the score head; a wrong one shows as a mismatch."""
+    inner width and indicator ids call for. An expert or planner header has no
+    model width; it is read from a listed norm gain or score head shape."""
     kind = header.get("kind")
     if kind == "backbone":
         return backbone_param_shapes(ModelConfig.from_dict(header["config"]))
@@ -258,12 +242,10 @@ def _build(header: dict[str, Any], tensors: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path: str | os.PathLike):
-    """Load and verify a checkpoint; returns the reconstructed component.
-
-    Raises ``CorruptionError`` for a short, damaged or malformed file,
-    ``VersionError`` for a file of another format version and
-    ``ConfigError`` for a path that names a directory.
-    """
+    """Load and verify a checkpoint; returns the component. Raises
+    ``CorruptionError`` for a short, damaged or malformed file,
+    ``VersionError`` for another format version and ``ConfigError`` for a
+    directory."""
     try:
         f = open(path, "rb")
     except IsADirectoryError as exc:
@@ -278,9 +260,8 @@ def _loads(blob: bytes, path: str | os.PathLike = "<bytes>"):
 
 
 def _load(f: BinaryIO, path):
-    """Read the component in the seekable binary file ``f``: the header is
-    checked first, then each record is read straight into an array sized by
-    the header and hashed on the way."""
+    """The component in the seekable binary file ``f``: the header is checked
+    first, then each record is read into an array sized by it, and hashed."""
     size = f.seek(0, os.SEEK_END)
     f.seek(0)
     header = _read_header(path, f, size)

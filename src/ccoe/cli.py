@@ -1,18 +1,13 @@
 """Command-line entry point.
 
-Workflows: ``pretrain`` a backbone into a run directory, ``train-expert`` /
-``train-planner`` against it, manage the registry with ``push`` / ``pop`` /
-``report-memory``, serve with ``infer`` (rule-based gating: a line per
-``routing.answerers`` entry) and ``route`` (planner), and measure with
-``bench`` / ``ablate``.
-
-State lives in a manifest: line-delimited JSON records naming the backbone
-checkpoint, expert checkpoints (id, domain, positions), mapping-matrix rows,
-and the optional planner checkpoint. A command loads the registry
-(``lifecycle``) from it; after a ``push`` or ``pop --remove`` the expert and
-mapping records are written from the registry, not edited by hand, so a
-reload gates every domain as the live registry did. Manifest rewrites are
-atomic (write-temp-then-rename) and guarded by an advisory file lock. One global
+``pretrain`` a backbone into a run directory, ``train-expert`` and
+``train-planner`` against it, manage the registry with ``push``, ``pop``
+and ``report-memory``, serve with ``infer`` (gating: a line per
+``routing.answerers`` entry) and ``route`` (the planner), both decoding by
+``routing.answer``, and measure with ``bench`` and ``ablate``. A run's
+state is its manifest: JSON lines naming the backbone, expert and planner
+checkpoints and the mapping rows, rewritten from the registry after a
+``push`` or ``pop --remove``, atomically and under an advisory lock. One
 ``--seed`` feeds every random stream. Exit codes: 0 success, 1 usage,
 2 data/config, 3 numeric divergence, 4 checkpoint corruption.
 """
@@ -42,7 +37,6 @@ from .bench import (
     strategy_positions,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .decoding import greedy_decode
 from .errors import CcoeError, ConfigError, DatasetError
 from .lifecycle import (
     ExpertRegistry,
@@ -54,8 +48,7 @@ from .lifecycle import (
 )
 from .model import BackboneModel, ModelConfig, init_backbone, init_expert
 from .rng import Rng
-from .routing import MappingMatrix, PlannerExpert, answerers, execute_plan, init_planner
-from .tokenizer import EOS, decode
+from .routing import MappingMatrix, PlannerExpert, answer, answerers, execute_plan, init_planner
 from .training import (
     TrainConfig,
     build_planner_dataset,
@@ -111,10 +104,9 @@ class Manifest:
 
     @staticmethod
     def load(path: str | Path) -> "Manifest":
-        """Parse a manifest; a malformed record, or a field of the wrong type
-        (``seed`` and ``id`` integers, ``path`` and ``domain`` strings,
-        ``experts`` a list of integers), raises ``DatasetError`` naming the
-        file and line."""
+        """Parse a manifest. A malformed record, or a field of the wrong type
+        (integer ``seed`` and ``id``, string ``path`` and ``domain``, ``experts``
+        a list of integers), raises ``DatasetError`` naming the file and line."""
         p = Path(path)
         if not p.exists():
             raise DatasetError(f"manifest not found: {p}")
@@ -331,7 +323,6 @@ def cmd_push(args) -> int:
     with manifest_lock(Path(args.manifest)):
         manifest = Manifest.load(args.manifest)
         registry = load_registry(manifest)
-        # validates budget + positions before any mutation
         expert = push(registry, args.checkpoint, args.id)
         rel = os.path.relpath(Path(args.checkpoint).resolve(), manifest.base.resolve())
         manifest.record(registry, {expert.expert_id: rel})
@@ -373,11 +364,10 @@ def cmd_report_memory(args) -> int:
 
 def cmd_infer(args) -> int:
     registry = load_registry(Manifest.load(args.manifest))
-    prompt_ids = dom.step_prompt_tokens(None, args.prompt)
     for expert in answerers(registry, args.domain):
-        out = greedy_decode(registry.backbone, expert, prompt_ids, max_new=args.max_new)
+        text = answer(registry.backbone, expert, None, args.prompt, args.max_new)
         label = "base" if expert is None else f"expert {expert.expert_id} ({expert.domain})"
-        print(f"{label}: {decode([i for i in out if i != EOS])}")
+        print(f"{label}: {text}")
     return 0
 
 

@@ -1,18 +1,11 @@
 """Incremental greedy decoding with a per-sequence KV cache.
 
-A cached request prefills its prompt with one ``forward_batch`` pass over a
-``KvCache``, then decodes one token per pass, each appending one position
-per layer, so the cache length always equals the number of tokens
-processed. The no-cache path recomputes the full forward every step and
-emits the same tokens; tests hold the cached path to that oracle.
-
-Workspace contract: a cached ``greedy_decode`` takes the model's spare
-``net.Workspace`` for the whole request (``net.take_workspace``), cuts its
-cache from the workspace's KV block, and gives it back whether the request
-returns or raises, so a concurrent request on the same model gets a
-workspace of its own. The prefill writes its temporaries into the same
-workspace and reads nothing an earlier request left there: its logits and
-cache entries are bit-identical to a pass that allocates them.
+A cached request prefills its prompt in one ``forward_batch`` pass over a
+``KvCache``, then decodes one position per pass, so the cache length is
+the number of tokens processed. The no-cache path recomputes the whole
+forward at each step and emits the same tokens. A cached request takes the
+model's spare ``net.Workspace`` for itself, cuts its cache from it and
+gives it back whether it returns or raises.
 """
 
 from __future__ import annotations
@@ -34,36 +27,17 @@ def check_count(value, what: str, error: type[CcoeError] = SequenceLengthError) 
 
 
 class KvCache:
-    """Per-layer cached keys/values for one in-flight decode.
-
-    ``capacity`` positions (default: the model's ``max_seq``) are laid out
-    up front in the KV block of ``workspace`` (a new ``net.Workspace`` when
-    None), a flat array of ``2 * n_layers`` stretches of ``max_seq *
-    d_model`` values, one per layer's keys and one per layer's values; each
-    array is the first ``capacity * d_model`` values of its stretch, so one
-    block serves a cache of any capacity. The block is used as it is: the
-    positions a pass has not written are never read. A multi-row pass over
-    the cache writes its temporaries into the same workspace, so the cache
-    holds it for its request alone. Keys are keys-major: ``k[i]`` is
-    [n_heads, head_dim, capacity], so the score product multiplies the
-    queries by ``k[i][..., :n]`` as a plain row-major matrix per head.
-    ``k_rows[i]`` is a token-major [capacity, d_model] view of the same
-    memory, through which a pass writes its key rows. Values are
-    token-major: ``v[i]`` is [capacity, d_model], and ``v_heads[i]`` is its
-    [n_heads, capacity, head_dim] view, which attention slices once per
-    layer. A decode step writes one row of each per layer. A ``workspace``
-    made for another config or dtype than the model's raises
-    ``ConfigError``.
-
-    Pair contract: ``net.forward_batch`` sets ``backbone``, ``expert`` and
-    ``weights`` to the (backbone, expert) pair of the last pass over the
-    cache and that pair's ``net.layer_weights``. A pass with the same two
-    objects reuses those weights and does not validate the expert again, so
-    it does not see a params entry or ``positions`` replaced since: a cache
-    must not outlive such a change to its pair (start a new cache). A pass
-    with another pair validates the expert and resolves its weights before
-    the cache changes.
-    """
+    """Per-layer keys and values of one in-flight decode: ``capacity``
+    positions (default ``max_seq``) cut from the KV block of ``workspace`` (a
+    new ``net.Workspace`` when None), which the cache holds for its request; no
+    unwritten position is read. ``k[i]`` is keys-major [h, hd, capacity] with
+    token-major view ``k_rows[i]``; ``v[i]`` is [capacity, d_model] with view
+    ``v_heads[i]`` [h, capacity, hd]. A capacity that is not an integer in
+    [1, ``max_seq``] raises ``SequenceLengthError``, a workspace of another
+    config or dtype ``ConfigError``. ``forward_batch`` keeps on the cache its last pass's
+    (``backbone``, ``expert``) pair and their ``weights``, which a pass with the
+    same two objects reuses unvalidated: start a new cache after replacing a
+    params entry or the positions of either."""
 
     def __init__(self, model: BackboneModel, capacity: int | None = None,
                  workspace: Workspace | None = None):
@@ -93,7 +67,6 @@ class KvCache:
         self.workspace = workspace
         self.capacity = capacity
         self.length = 0
-        # set by forward_batch: the pair whose keys and values the cache holds
         self.backbone = self.expert = self.weights = None
 
     def __len__(self) -> int:
@@ -106,16 +79,10 @@ def decode_step(
     token: int,
     cache: KvCache,
 ) -> np.ndarray:
-    """Process one token at position len(cache); returns next-token logits [vocab].
-
-    A one-token ``forward_batch`` pass over the cache, with its checks: a
-    full cache raises ``SequenceLengthError``, a token that is not an
-    integer id in the vocabulary ``TokenIdError`` and a bad expert position
-    ``RoutingConfigError``, all before the cache changes. Non-finite logits
-    raise ``NumericError`` after the cache has taken the position. A step
-    with the pair of the cache's last pass reuses that pass's weights, so a
-    params entry replaced since is not seen (``KvCache``'s pair contract).
-    """
+    """One token at position ``len(cache)``; returns next-token logits
+    [vocab]. A one-token ``forward_batch`` over the cache, with its errors: a
+    full cache, a bad token id or a bad expert position raise before the cache
+    changes, non-finite logits after it has taken the position."""
     return forward_batch(model, np.array([[token]]), expert, cache=cache)[0][0, 0]
 
 
@@ -127,24 +94,15 @@ def greedy_decode(
     use_cache: bool = True,
     stop_token: int | None = EOS,
 ) -> list[int]:
-    """Greedy continuation of ``prompt``; returns only the generated tokens.
-
-    Argmax ties break toward the lowest token id. Stops early when
-    ``stop_token`` is produced (the stop token is included in the output).
-    The cached path prefills the prompt with one ``forward_batch`` pass and
-    decodes each generated token but the last with ``decode_step``. Both paths
-    raise ``NumericError`` on non-finite logits.
-
-    ``prompt`` is a list or 1-D array of ids. It is converted once, without
-    a cast (``net.token_row``): an id that is not an integer in the
-    vocabulary (a float, a str, a bool) raises ``TokenIdError``, and an
-    empty prompt ``SequenceLengthError``.
-
-    A cached request takes the model's spare workspace for itself
-    (``net.take_workspace``), cuts its cache from it and gives it back
-    whether it returns or raises, so a concurrent request on the same model
-    gets a workspace of its own. Its tokens are those of a fresh workspace.
-    """
+    """Greedy continuation of ``prompt``, a list or 1-D array of ids converted
+    without a cast (``net.token_row``); returns only the generated tokens,
+    ``stop_token`` included when it ends them early. Argmax ties go to the
+    lowest id. Raises ``SequenceLengthError`` for an empty prompt, a
+    ``max_new`` that is not an integer >= 1 or a prompt plus ``max_new`` past
+    ``max_seq``; ``TokenIdError`` for a prompt id that is not an integer in the
+    vocabulary (a float, a str, a bool); ``NumericError`` for non-finite
+    logits. Cached and uncached decodes emit the same tokens, and a cached one
+    those of a fresh workspace."""
     if len(prompt) == 0:
         raise SequenceLengthError("prompt must be nonempty")
     max_new = check_count(max_new, "max_new")

@@ -1,27 +1,17 @@
 """Synthetic byte-level task domains and their sequence encodings.
 
-Five deterministic functions over digit strings, all sharing one prompt
-distribution so that nothing in the prompt surface reveals which function is
-wanted:
+Five deterministic functions over digit strings share one prompt
+distribution, so nothing in a prompt's surface reveals the wanted one:
+``copy``, ``reverse``, ``sort_digits``, ``mod_add`` (each digit plus three,
+mod ten) and ``uppercase`` (0 -> A .. 9 -> J).
 
-- ``copy``        echo the digits
-- ``reverse``     digits in reverse order
-- ``sort_digits`` digits sorted ascending
-- ``mod_add``     each digit plus three, modulo ten
-- ``uppercase``   each digit rendered as its capital-letter form (0->A .. 9->J)
-
-Sequence layout is ``[BOS] tag <task> = <answer> [EOS]``. During backbone
-pretraining the tag byte names the wanted function, which is the only way to
-disambiguate; at serving time the tag is the neutral ``?`` and the routed
-expert's own parameters must supply the missing signal. Task bodies come in
-three shapes: a bare payload, a marker-annotated payload (``rs:1234``), and a
-carried-context shape (``7701;rs:1234``) where the function applies to the
-carried digits instead of the payload; the marker bytes are routing metadata
-and never influence the answer.
-
-Composite tasks chain two functions (``ru:315`` means reverse, then
-uppercase); because ``uppercase`` leaves the digit alphabet it may only
-appear last in a chain. Every generator is a pure function of its Rng.
+A sequence is ``[BOS] tag <task> = <answer> [EOS]``. In pretraining the tag
+byte names the function; in serving it is the neutral ``?`` and the routed
+expert must supply the signal. A task is a payload, a marked payload
+(``rs:1234``) or carried context (``7701;rs:1234``), where the function
+applies to the carried digits; markers are routing metadata only. A
+composite task chains two functions (``ru:315``: reverse, then uppercase),
+``uppercase`` only last. Every generator is a pure function of its Rng.
 """
 
 from __future__ import annotations
@@ -218,10 +208,8 @@ def sample_composite(rng: Rng, n_steps: int) -> CompositeTask:
 
 def subtask_tokens(step_index: int, carried: str | None, task_text: str) -> list[int]:
     """Planner-side encoding of one subtask: neutral tag, the step index as a
-    digit byte, carried context, then the query; ends with the indicator token
-    where the routing readout attends. The explicit index is what lets the
-    planner distinguish "route the next chain stage" from "everything is done,
-    stop" without re-deriving the whole chain."""
+    digit (what tells "route the next stage" from "stop"), carried context and
+    query, then the indicator token the routing readout attends from."""
     body = (carried + CARRY_SEP if carried else "") + task_text
     return [BOS] + encode(NEUTRAL_TAG + str(min(step_index, 9)) + body) + [INDICATOR]
 

@@ -34,12 +34,9 @@ class NumericError(CcoeError):
 
 
 class DivergenceError(NumericError):
-    """Training went non-finite; carries the last good parameter snapshot.
-
-    Raised for a non-finite loss and for any ``NumericError`` from the forward
-    or backward pass of a training step (overflowing logits, say), which
-    training re-raises as this error with the original as its cause.
-    """
+    """Training went non-finite: a non-finite loss, or a ``NumericError`` from
+    a step's forward or backward re-raised with it as the cause. Carries the
+    last good parameter snapshot."""
 
     def __init__(self, message, last_good=None):
         super().__init__(message)

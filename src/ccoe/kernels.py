@@ -1,29 +1,18 @@
 """Deterministic numeric kernels of the transformer block.
 
-The layer norm, causal scaled dot-product attention and the tanh-form GELU,
-each with the gradient its backward pass needs. ``net.forward_batch`` and
-``net.backward_batch`` call them for training, planner scoring, prefill and
-decode alike, and the planner's scorer (``routing.score_batch``) runs its
-cross-attention through ``attention`` and ``attention_bwd`` with one head.
-``layer_norm`` is the forward layer norm with its eps and finiteness checks,
-which the oracle tests hold to a float64 reference. ``layer_norm_out``,
-``gelu_tanh`` and ``gelu_from_tanh`` rebuild outputs of the forward kernels
-bit for bit, for a backward pass whose tape does not keep them; a test holds
-each equal to the output it replaces.
+The layer norm, scaled dot-product attention and the tanh-form GELU, each
+with the gradient its backward needs. ``net`` runs them for every pass, and
+the planner's scorer runs ``attention`` and ``attention_bwd`` with one head.
+``layer_norm`` is the checked forward that the oracle tests hold to a
+float64 reference. ``layer_norm_out``, ``gelu_tanh`` and ``gelu_from_tanh``
+rebuild forward outputs bit for bit, for a backward whose tape lacks them.
 
-Every kernel is a pure function of its inputs, bit-identical across calls,
-and dtype-agnostic: the parameters' dtype (float32, or float64 when tests
-feed 64-bit copies) sets the computation's. Attention over more than one
-query row lays its scores out keys-first, [keys, heads, rows, queries], and
-the masks (``causal_mask``, ``causal_tail``, ``segment_mask``,
-``key_mask``) come in that layout. A lone row ([d], a decode step) takes
-each kernel's lean 1-D form.
-
-Output buffers: ``layer_norm_fwd`` and ``gelu_fwd`` take ``out`` arrays,
-and ``attention`` a flat ``scratch`` array, and write into them what they
-would otherwise allocate (``net.Workspace`` supplies them). The caller owns
-the buffers and lends them to one call at a time. No value already in a
-buffer is read, and the results are the same bits with or without them.
+Every kernel is a pure function of its inputs, and the inputs' dtype sets
+the computation's. Attention over more than one query row lays its scores
+out keys-first, [keys, heads, rows, queries], as the masks are; a lone row
+([d], a decode step) takes each kernel's 1-D form. ``out`` and ``scratch``
+arrays receive what a kernel would otherwise allocate, with the same bits;
+no value already in them is read.
 """
 
 from __future__ import annotations
@@ -42,9 +31,8 @@ EPS = 1e-5
 
 @functools.cache
 def _constant(dtype: np.dtype, value: float) -> np.ndarray:
-    """``value`` as a read-only 0-d array of ``dtype``. An array op by one
-    gives the same bits as by the Python float (which NumPy casts to the
-    array's dtype first) and, at one row, costs less."""
+    """``value`` as a read-only 0-d array of ``dtype``, which an array op at
+    one row applies faster than a Python float."""
     c = np.array(value, dtype=dtype)
     c.flags.writeable = False
     return c
@@ -52,20 +40,11 @@ def _constant(dtype: np.dtype, value: float) -> np.ndarray:
 
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = EPS,
                    out: tuple[np.ndarray, np.ndarray] | None = None):
-    """Layer norm over the last axis; also returns (xh, inv, gain) for
-    ``layer_norm_bwd``, with ``inv`` shaped [..., 1].
-
-    Each mean is ``np.add.reduce`` followed by a divide, which is what
-    ``ndarray.mean`` computes, bit for bit, without its Python-level wrapper.
-    A lone row ([d]) reduces to NumPy scalars: their arithmetic is the same
-    IEEE operations at a lower per-call cost than [1] arrays. Its
-    ``inv`` becomes a [1] array before it scales the row, which NumPy does
-    faster than by a scalar and which the backward pass takes as it is.
-
-    ``out``, two arrays shaped like ``x``, receives the output and ``xh``
-    (the former also holds the squares of the centred rows on the way), by
-    the same operations, so bit for bit.
-    """
+    """Layer norm over the last axis; returns (output, (xh, inv, gain)) for
+    ``layer_norm_bwd``, ``inv`` shaped [..., 1]. Each mean is ``np.add.reduce``
+    then a divide, ``ndarray.mean`` bit for bit without its wrapper. A lone
+    row's ``inv`` is a [1] array, which scales the row faster than a scalar.
+    ``out``, two arrays shaped like ``x``, receives the output and ``xh``."""
     n = x.shape[-1]
     keep = x.ndim > 1
     mu = np.add.reduce(x, axis=-1, keepdims=keep)
@@ -88,22 +67,17 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
 
 
 def layer_norm_out(cache, bias: np.ndarray) -> np.ndarray:
-    """The output of ``layer_norm_fwd`` rebuilt from its cache (xh, inv,
-    gain) and the bias by the forward's own last two operations, so bit for
-    bit."""
+    """``layer_norm_fwd``'s output rebuilt from its cache (xh, inv, gain)
+    and the bias by the forward's own last two operations."""
     out = cache[0] * cache[2]
     out += bias
     return out
 
 
 def layer_norm_bwd(dy: np.ndarray, cache, need_dparams: bool = True):
-    """Gradients of ``layer_norm_fwd``: returns (dx, dgain, dbias); dgain
-    and dbias are None unless ``need_dparams``, for a frozen norm.
-
-    Every sum is a product with a ones (or 1/n) vector: NumPy reduces the
-    short feature axis of each row, and the row axis of each column, more
-    slowly than a matrix-vector product does.
-    """
+    """Gradients of ``layer_norm_fwd``: (dx, dgain, dbias), the last two
+    None unless ``need_dparams``. Each sum is a product with a ones (or 1/n)
+    vector, which NumPy runs faster than a reduction over these axes."""
     xh, inv, g = cache
     n = xh.shape[-1]
     dg = db = None
@@ -123,7 +97,9 @@ def layer_norm_bwd(dy: np.ndarray, cache, need_dparams: bool = True):
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """Per-row normalization to zero mean / unit variance, then affine."""
+    """Per-row normalization to zero mean and unit variance, then affine.
+    Raises ``ConfigError`` for ``eps <= 0``, ``NumericError`` for a non-finite
+    output."""
     if eps <= 0:
         raise ConfigError("layer_norm: eps must be positive")
     out = layer_norm_fwd(x, gain, bias, eps)[0]
@@ -138,12 +114,9 @@ def _additive(hidden: np.ndarray) -> np.ndarray:
 
 
 def causal_mask(t: int, start: int = 0) -> np.ndarray | None:
-    """Keys-first additive mask for ``t`` queries at positions
-    ``start..start+t-1`` of one sequence: a float32 [start + t, 1, 1, t]
-    array, -inf at [j, 0, 0, i] when query i may not see key j (j > start +
-    i) and 0 elsewhere. None for one query, which sees every key before it.
-    The block adds ``causal_tail`` instead; this full form is its reference.
-    """
+    """Keys-first additive float32 mask [start + t, 1, 1, t] for ``t``
+    queries at positions ``start..start+t-1`` of one sequence: -inf where key
+    j > start + i, else 0; None for one query. ``causal_tail``'s reference."""
     if t == 1:
         return None
     hidden = np.tri(start + t, t, k=-(start + 1), dtype=bool)
@@ -151,11 +124,9 @@ def causal_mask(t: int, start: int = 0) -> np.ndarray | None:
 
 
 def segment_mask(positions: np.ndarray) -> np.ndarray:
-    """Keys-first additive mask for rows of packed segments: a float32
-    [t, 1, b, t] array, -inf at [j, 0, r, i] when query i of row r may not
-    see key j and 0 elsewhere. ``positions`` [b, t] restart at 0 at each
-    segment's start, and query i sees keys ``i - positions[i] .. i``, the
-    causal prefix of its own segment."""
+    """Keys-first additive float32 mask [t, 1, b, t] for rows of packed
+    segments: query i of row r sees keys ``i - positions[r, i] .. i``, the
+    causal prefix of its own segment, and -inf hides every other."""
     col = np.arange(positions.shape[1])
     key = col[:, None, None]
     hidden = (key < col - positions) | (key > col)
@@ -163,11 +134,9 @@ def segment_mask(positions: np.ndarray) -> np.ndarray:
 
 
 def key_mask(hidden: np.ndarray) -> np.ndarray | None:
-    """Keys-first additive mask that hides the same keys from every query of
-    a row: ``hidden`` [b, s] is True where row r's queries may not see key
-    j; returns a float32 [s, 1, b, 1] array, -inf there and 0 elsewhere, or
-    None when no key is hidden, which ``attention`` takes as no mask, with
-    the same scores."""
+    """Keys-first additive float32 mask [s, 1, b, 1], -inf where ``hidden``
+    [b, s] hides key j from every query of row r; None when nothing is
+    hidden, which ``attention`` scores the same."""
     if not hidden.any():
         return None
     return _additive(hidden.T)[:, None, :, None]
@@ -180,30 +149,27 @@ TILE_STEP = 16
 
 
 def tiles_queries(b: int, t: int, keep_weights: bool) -> bool:
-    """Whether ``attention`` takes ``t`` causal query rows of ``b`` sequences
-    tile by tile (``causal``): one sequence, no weights kept and more than
-    ``2 * TILE`` queries. Taped, packed and shorter passes stay one tile
-    with a ``future`` mask."""
+    """Whether ``attention`` runs ``t`` causal query rows of ``b``
+    sequences in tiles: one sequence, no weights kept and more than
+    ``2 * TILE`` queries."""
     return t > 2 * TILE and b == 1 and not keep_weights
 
 
 @functools.cache
 def _triangle(n: int) -> np.ndarray:
-    """The keys-first additive mask of ``n`` queries over their own ``n``
-    positions, read-only: a float32 [n, 1, 1, n] array, -inf at
-    [j, 0, 0, i] when j > i."""
+    """Read-only keys-first additive mask of ``n`` queries over their own
+    ``n`` positions: float32 [n, 1, 1, n], -inf where j > i."""
     tri = _additive(np.tri(n, n, -1, dtype=bool))[:, None, None]
     tri.flags.writeable = False
     return tri
 
 
 def causal_tail(t: int, n: int) -> np.ndarray | None:
-    """Keys-first additive mask of the last ``t`` positions of one sequence
-    over their own keys: a read-only float32 [t, 1, 1, t] view, -inf at
-    [j, 0, 0, i] when j > i, cut from the cached triangle of ``n`` rows
-    (``t <= n``). ``attention`` adds a mask over the last ``len(mask)`` keys
-    only, so the queries see every earlier key, as under
-    ``causal_mask(t, start)``, with the same scores. None for one query."""
+    """The keys-first mask of the last ``t`` positions of one sequence over
+    their own keys: a read-only [t, 1, 1, t] view of the ``n``-row triangle,
+    which ``attention`` adds to the last ``t`` keys, so the scores are those
+    under ``causal_mask(t, start)``. None for one query; ``t > n`` raises
+    ``ConfigError``."""
     if t > n:
         raise ConfigError(f"causal_tail: {t} queries exceed the {n}-row triangle")
     return None if t == 1 else _triangle(n)[:t, :, :, :t]
@@ -226,9 +192,9 @@ def _value_heads(v: np.ndarray, b: int, n_heads: int) -> np.ndarray:
 
 
 def _carve(scratch: np.ndarray | None, shape: tuple[int, ...], dtype) -> tuple:
-    """(the first prod(``shape``) values of the flat ``scratch`` as a C-ordered
-    array of ``shape``, the rest of ``scratch``); a new array, and ``scratch``
-    as it is, when ``scratch`` is None or too short."""
+    """(the first prod(``shape``) values of the flat ``scratch`` shaped
+    ``shape``, the rest of ``scratch``), or a new array and ``scratch`` as it
+    is when ``scratch`` is None or too short."""
     n = math.prod(shape)
     if scratch is None or len(scratch) < n:
         return np.empty(shape, dtype=dtype), scratch
@@ -239,38 +205,20 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
               future: np.ndarray | None = None, keep_weights: bool = True,
               causal: bool = False, scratch: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Scaled dot-product attention of ``b`` sequences of token-major rows.
+    """Scaled dot-product attention of ``b`` sequences; returns (context rows
+    shaped like ``q``, weights as a [b, h, t, s] view).
 
-    ``q`` is [b*t, d] (one query row may be [d]). ``k`` and ``v`` each come
-    in either of two layouts:
-
-    - token-major rows [b*s, d] (one row may be [d]), as a training or
-      other uncached pass makes them;
-    - for one sequence (``b == 1``), the ``decoding.KvCache`` layouts: keys
-      keys-major [n_heads, head_dim, s], values a heads-major
-      [n_heads, s, head_dim] view.
-
-    Heads are contiguous slices of the feature axis. ``future`` is an
-    additive keys-first mask (``causal_mask``, ``causal_tail``,
-    ``segment_mask`` or ``key_mask``) or None. ``causal`` takes its place
-    for a pass that ``tiles_queries``: the ``t`` query rows of one sequence
-    are its last ``t`` positions, each seeing the keys up to its own, and
-    they run in tiles of at most ``TILE`` rows starting on multiples of
-    ``TILE_STEP``.
-    The tiled context rows equal the one-tile pass's bit for bit wherever
-    BLAS takes both products with the same kernels, which tests check.
-
-    Returns (context rows shaped like ``q``, weights as a [b, h, t, s]
-    view). Without ``keep_weights`` the weights are left unnormalised, the
-    context is divided by their sums instead, and the weights come back as
-    None.
-
-    ``scratch``, a flat array of ``q``'s dtype, holds what a pass of more
-    than one query row would otherwise allocate: the scaled queries, the
-    context rows (which are then returned as a view of it), the weights'
-    sums and the score tile, carved from it in that order. Whatever does not
-    fit is allocated. The values are the same bits either way.
-    """
+    ``q`` is token-major [b*t, d] (one row may be [d]). ``k`` and ``v`` are
+    token-major rows too or, for one sequence, the ``decoding.KvCache``
+    layouts: keys [h, hd, s], values [h, s, hd]. ``future`` is an additive
+    keys-first mask over the last ``len(future)`` keys, or None. ``causal``
+    replaces it for a pass that ``tiles_queries``: the queries are the last
+    ``t`` positions, run in tiles of at most ``TILE`` rows that start on
+    multiples of ``TILE_STEP``, equal to the one-tile pass bit for bit where
+    BLAS takes both with the same kernels. Without ``keep_weights`` the
+    context is divided by the weights' sums and the weights come back None.
+    ``scratch``, flat and of ``q``'s dtype, holds the scaled queries, the
+    context rows (returned as its view), the sums and the score tile."""
     hd = q.shape[-1] // n_heads
     scale = 1.0 / math.sqrt(hd)
     if q.ndim == 1:
@@ -321,13 +269,10 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, b: int, n_heads: int,
 
 
 def _attend(qt, kh, vh, mask, keep_weights, ctxh, norm, scratch):
-    """The softmax attention of ``attention`` over one tile of queries:
-    scaled queries ``qt`` [b, h, hd, t], keys ``kh`` and values ``vh``
-    [b, h, s, hd], and an additive keys-first ``mask`` (or None) over the
-    last ``len(mask)`` keys. Writes the context into the [b, h, t, hd] view
-    ``ctxh`` and the weights' sums into ``norm`` [h, b, t]; the scores are
-    carved from ``scratch`` (see ``_carve``). Returns (weights as a
-    [b, h, t, s] view, their sums)."""
+    """``attention`` over one tile: scaled queries ``qt`` [b, h, hd, t], keys
+    and values [b, h, s, hd] and a keys-first ``mask`` (or None) over the last
+    ``len(mask)`` keys. Writes the context into ``ctxh`` [b, h, t, hd] and the
+    sums into ``norm`` [h, b, t]; returns (weights [b, h, t, s], sums)."""
     b, h, _, t = qt.shape
     scores, _ = _carve(scratch, (kh.shape[-2], h, b, t), qt.dtype)
     np.matmul(kh, qt, out=scores.transpose(2, 1, 0, 3))
@@ -346,17 +291,10 @@ def _attend(qt, kh, vh, mask, keep_weights, ctxh, norm, scratch):
 def attention_bwd(dctx: np.ndarray, ctx: np.ndarray, q: np.ndarray, k: np.ndarray,
                   v: np.ndarray, probs: np.ndarray, n_heads: int):
     """Gradients of ``attention`` given its context rows ``ctx`` and their
-    gradient ``dctx``: returns (dq, dk, dv), shaped like ``q``, ``k`` (in
-    either layout) and ``v``.
-
-    The softmax backward needs D = rowsum(dP * P) per query and head, where
-    dP is the weights' gradient. It equals rowsum(dO * O) over the head's
-    slice of the context (FlashAttention-2, arXiv 2307.08691), which one
-    product with a [d, h] head-indicator matrix gives for every head at
-    once. The weights' gradient is laid out keys-first like the forward's
-    scores, and every product writes its heads straight into the gradient's
-    own layout.
-    """
+    gradient ``dctx``: (dq, dk, dv) shaped like ``q``, ``k`` (either layout)
+    and ``v``. The softmax's rowsum(dP * P) is taken as rowsum(dO * O) per
+    head (FlashAttention-2, arXiv 2307.08691): one product with a head
+    indicator matrix."""
     b, h, t, s = probs.shape
     d = q.shape[-1]
     hd = d // n_heads
@@ -395,16 +333,10 @@ def _gelu_constants(dtype: np.dtype) -> tuple[np.ndarray, ...]:
 
 def gelu_fwd(x: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth GELU (tanh form); also returns tanh(u) for reuse in the backward
-    pass. Written with in-place ops: these arrays sit on the training hot path.
-
-    u = C0 * (x + C1 * x^3) is formed as x * (C0 + C0*C1 * x^2), with the two
-    constants folded into one, so the forward is 8 NumPy calls; the
-    constants are 0-d arrays of ``x``'s dtype (see ``_constant``).
-    ``gelu_tanh`` and ``gelu_from_tanh`` repeat its two halves, so that a
-    backward pass rebuilds either output from ``x`` bit for bit without a
-    new call on the forward's path. ``out``, two arrays shaped like ``x``,
-    receives the output and tanh(u) by the same operations."""
+    """Smooth GELU (tanh form); returns (output, tanh(u)) for the backward.
+    u = C0 * (x + C1 * x^3) is formed as x * (C0 + C0*C1 * x^2), in place
+    and with 0-d constants, since it runs on the training hot path. ``out``,
+    two arrays shaped like ``x``, receives the output and tanh(u)."""
     c01, c0, one, half = _gelu_constants(x.dtype)
     u = x * x if out is None else np.multiply(x, x, out=out[1])
     u *= c01
@@ -428,8 +360,8 @@ def gelu_tanh(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_from_tanh(x: np.ndarray, tanh_u: np.ndarray) -> np.ndarray:
-    """The GELU output of ``gelu_fwd(x)`` given its tanh(u), by its own
-    operations: x * (1 + tanh(u)) / 2."""
+    """``gelu_fwd(x)``'s output from its tanh(u): x * (1 + tanh(u)) / 2, by
+    its own operations."""
     _, _, one, half = _gelu_constants(x.dtype)
     y = tanh_u + one
     y *= x

@@ -1,27 +1,15 @@
-"""Expert lifecycle: the live registry, push/pop, and memory accounting.
+"""Expert lifecycle: the live registry, push and pop, and memory accounting.
 
-A registry is one resident backbone plus any number of expert overlays, a
-mapping matrix for rule-based gating, and an optional planner. It is the one
-record of what a deployment holds; the CLI's manifest is written from it.
-Mutations are validate-then-commit: a refused push leaves every byte
-unchanged. Registered components are deep-copied in and their arrays made
-read-only, so nothing the caller does afterwards (training a popped copy,
-mutating the source) can reach inside the registry. An expert pushed from a
-checkpoint path is the one exception to the copy: no caller holds it, so it
-is frozen and registered as loaded.
-
-A planner keeps one indicator row per registered expert. A newly registered
-expert gets a random row flagged uncalibrated, drawn from
-``Rng(registry.seed).child("indicator", expert_id)``; a removed expert's row
-goes with it. ``attach_planner`` reconciles by the same rule: it drops the
-rows of unregistered experts and gives each registered expert without a row
-that uncalibrated row.
-
-The accounting model counts resident parameter bytes (4 per float32) and backs
-the deployment comparison: one shared backbone plus small overlays versus one
-full model per domain versus adapters plus per-switch re-materialization.
-The memory report shows the backbone's workspace (``net.Workspace``) beside
-them as a runtime row, outside the parameter total and the comparisons.
+A registry is one resident backbone, its expert overlays, the mapping matrix
+and an optional planner: the one record of a deployment, from which the CLI
+writes its manifest. A mutation validates before it commits, so a refused
+push changes nothing. Components are registered as read-only deep copies;
+an expert pushed from a checkpoint path, which no caller holds, as loaded.
+A planner keeps one indicator row per registered expert: a new expert gets
+an uncalibrated random row from ``Rng(registry.seed).child("indicator",
+expert_id)``, a removed one loses its row, and ``attach_planner``
+reconciles by that rule. Accounting counts resident parameter bytes (4 per
+float32); the backbone's workspace is a runtime row outside the total.
 """
 
 from __future__ import annotations
@@ -80,16 +68,13 @@ def push(
     expert: ExpertSubnetwork | str | PathLike,
     expert_id: int | None = None,
 ) -> ExpertSubnetwork:
-    """Add a new expert or atomically replace an existing one; returns the
-    registered expert.
-
+    """Add an expert or atomically replace one; returns the registered expert.
     ``expert`` is an expert object, registered as a copy, or the path of an
-    expert checkpoint, registered as loaded; a checkpoint that is not an
-    expert raises ``ConfigError``. The expert is registered under
-    ``expert_id`` (None: its own id). Validation (positions, budget, domain
-    consistency) happens before any mutation. A new id also gets a mapping
-    association and, with a planner attached, an uncalibrated indicator row.
-    """
+    expert checkpoint, registered as loaded, under ``expert_id`` (None: its own
+    id). A new id also gets a mapping row and, with a planner, an uncalibrated
+    indicator row. Raises ``RoutingConfigError`` for bad positions,
+    ``BudgetError`` over the budget, and ``ConfigError`` for a checkpoint that
+    is not an expert or a new domain under a registered id."""
     owned = not isinstance(expert, ExpertSubnetwork)
     if owned:
         path, expert = expert, load_checkpoint(expert)
@@ -145,7 +130,7 @@ def pop_remove(registry: ExpertRegistry, expert_id: int) -> ExpertRegistry:
 
 def attach_planner(registry: ExpertRegistry, planner: PlannerExpert) -> ExpertRegistry:
     """Attach a copy of ``planner`` with its indicator rows reconciled to the
-    registered experts (see the module docstring)."""
+    registered experts."""
     planner = deep_copy_planner(planner)
     for eid in [e for e in planner.indicator_ids if e not in registry.experts]:
         planner.remove_indicator(eid)
@@ -173,8 +158,7 @@ def capped_deployment_bytes(backbone_bytes: int, n_experts: int):
 @dataclass(frozen=True)
 class MemoryReport:
     """Resident parameter bytes per component, their total and the two
-    deployment comparisons, which count parameters only. ``runtime`` rows
-    (the backbone's workspace) are shown beside them and are in neither."""
+    deployment comparisons; the ``runtime`` rows are in neither."""
 
     rows: tuple[tuple[str, int], ...]
     total: int
@@ -231,8 +215,8 @@ def memory_report(registry: ExpertRegistry) -> MemoryReport:
         rows=rows,
         total=total,
         mdme_equal_bytes=mdme,
-        mdme_equal_reduction=reduction(total, mdme) if mdme else Fraction(0),
+        mdme_equal_reduction=reduction(total, mdme),
         capped_total=capped,
-        capped_reduction=reduction(capped, mdme) if mdme else Fraction(0),
+        capped_reduction=reduction(capped, mdme),
         runtime=(("workspace", workspace_bytes(backbone.config, backbone.params["embed"].dtype)),),
     )

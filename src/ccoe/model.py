@@ -1,21 +1,15 @@
 """Decoder model definition: shared backbone and pluggable expert subnetworks.
 
-The backbone is a pre-norm decoder transformer (embedding + learned positions,
-L layers of causal attention and GELU feed-forward, final norm, untied output
-head). An expert subnetwork owns replacement feed-forward sublayers (with their
-own pre-norms) for a sorted set of backbone layer indices; at those positions
-the backbone's feed-forward sublayer is swapped out wholesale while attention
-stays shared. Parameters live in flat name->array dicts so training,
-serialization and digesting can treat every component uniformly.
+The backbone is a pre-norm decoder transformer: embedding and learned
+positions, L layers of causal attention and GELU feed-forward, a final norm
+and an untied head. An expert owns replacement feed-forward sublayers, each
+with its own pre-norm, at a sorted set of layer indices; attention stays
+shared. Parameters are flat name -> array dicts.
 
-This module alone spells the parameter layout. ``attn_names`` and
-``ffn_names`` give each layer's tensor names, the latter pairing the
-backbone's feed-forward tensors with an expert's replacements for them;
-``backbone_param_shapes`` and ``expert_param_shapes`` give every tensor's
-shape in draw order; and one init rule fills them: norm gains are ones,
-biases zeros, matrices N(0, 0.02), with the residual-output projections
-(``attn.wo``, ``w2``) scaled down by sqrt(2 * n_layers) so residual-stream
-variance stays bounded with depth.
+This module alone spells the parameter layout (``attn_names``,
+``ffn_names``, the ``*_param_shapes`` in draw order) and its init rule:
+norm gains ones, biases zeros, matrices N(0, 0.02), and the residual
+outputs (``attn.wo``, ``w2``) scaled down by sqrt(2 * n_layers).
 """
 
 from __future__ import annotations
@@ -27,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, RoutingConfigError
 from .rng import Rng
+from .tokenizer import VOCAB_SIZE
 
 Params = dict[str, np.ndarray]
 
@@ -37,7 +32,7 @@ class ModelConfig:
     d_model: int = 64
     n_heads: int = 4
     d_ff: int = 128
-    vocab_size: int = 260
+    vocab_size: int = VOCAB_SIZE
     max_seq: int = 256
 
     def validate(self) -> "ModelConfig":
@@ -63,12 +58,9 @@ class ModelConfig:
 
 @dataclass
 class BackboneModel:
-    """The shared decoder stack. Once frozen, its arrays are read-only.
-
-    ``workspaces`` is runtime state, not a parameter: per dtype, the spare
-    ``net.Workspace`` of the model (see ``net.take_workspace``). It is
-    outside equality, ``param_bytes``, digests and checkpoints, and a copy
-    of the model (``deep_copy_backbone``) starts without it."""
+    """The shared decoder stack; its arrays are read-only once frozen.
+    ``workspaces``, per dtype the model's spare ``net.Workspace``, is runtime
+    state outside equality, ``param_bytes``, digests, checkpoints and copies."""
 
     config: ModelConfig
     params: Params
@@ -87,12 +79,9 @@ class BackboneModel:
 
 @dataclass
 class ExpertSubnetwork:
-    """Replacement feed-forward sublayers owned by one domain.
-
-    ``positions`` are the backbone layer indices whose feed-forward sublayer
-    (and its pre-norm) this expert substitutes. Parameter keys are
-    ``ffn_names(i)[1]`` for each position ``i``.
-    """
+    """Replacement feed-forward sublayers owned by one domain, at the layer
+    indices ``positions``, strictly increasing (else ``RoutingConfigError``).
+    Parameter keys are ``ffn_names(i)[1]`` for each position ``i``."""
 
     expert_id: int
     domain: str
@@ -224,11 +213,10 @@ def init_expert(
     inner_width: int | None = None,
     warm_from: BackboneModel | None = None,
 ) -> ExpertSubnetwork:
-    """Fresh expert by the init rule. With ``warm_from`` the sublayers start
-    as exact copies of the backbone's feed-forward sublayers at the same
-    positions (requires matching inner width), so the spliced model is
-    initially bit-identical to the base model. ``inner_width`` None means
-    the backbone's ``d_ff``; a width below 1 raises ``ConfigError``."""
+    """Fresh expert by the init rule or, with ``warm_from``, as copies of the
+    backbone's feed-forward sublayers at its positions, so the spliced model
+    starts bit-identical to the base. ``inner_width`` None means ``d_ff``; a
+    width below 1, or another width with ``warm_from``, raises ``ConfigError``."""
     validate_positions(config, tuple(positions))
     width = config.d_ff if inner_width is None else inner_width
     if width < 1:

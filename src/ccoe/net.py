@@ -1,34 +1,17 @@
-"""The transformer block: one forward pass and its hand-written backward.
+"""The transformer block: its one forward pass and its hand-written backward.
 
-``forward_batch`` is the only implementation of the decoder block. Training,
-planner scoring, prefill and decode all run it: it takes a token batch, one
-sequence per row or several packed into each row (``pack``), splices in an
-optional expert, optionally records a tape of intermediates and
-optionally appends to a KV cache. ``backward_batch`` walks that tape in
-reverse and computes gradients only for parameters named in the caller's
-trainable set: a frozen weight gets the activation gradient propagated
-through it and no weight gradient at all, and the walk stops below the lowest
-layer that holds a trainable tensor. This is how the frozen backbone is
-excluded from differentiation structurally rather than by zeroing, and why
-expert and planner training skip most of the backward work that pretraining
-does.
+``forward_batch`` is the only implementation of the decoder block; training,
+planner scoring, prefill and decode all run it. ``backward_batch`` walks its
+tape in reverse and computes a weight gradient only for a trainable key,
+stopping below the lowest layer that holds one, so a frozen backbone is
+left out of differentiation by construction rather than by zeroing.
 
-The tape keeps per layer only the five arrays the backward cannot rebuild
-without re-running attention: the two layer-norm caches (normalised rows and
-inverse deviations), the attention weights, the context rows and the GELU
-input. The backward rebuilds the rest from them by repeating the forward's
-own operations on the same inputs (selective activation recomputation,
-Korthikanti et al., arXiv 2205.05198), so every rebuilt value, and every
-gradient, is bit-identical to a pass that taped it.
-
-A ``Workspace`` holds one request's KV block and the per-layer temporaries
-of a multi-row untaped pass over one row, so that such a pass allocates
-nothing (see ``forward_batch``). It is runtime state kept on the model
-(``BackboneModel.workspaces``), not a parameter.
-
-All code is dtype-agnostic: parameter dtype (float32 in production, float64 in
-finite-difference tests) decides the computation dtype. Scalar constants are
-Python floats so they never promote float32 arrays.
+The tape keeps five arrays per layer. The backward rebuilds the rest by
+repeating the forward's own operations on the same inputs (selective
+recomputation, Korthikanti et al., arXiv 2205.05198), so bit for bit.
+A ``Workspace`` holds one request's KV block and the temporaries of a
+multi-row untaped pass over one row: runtime state on the model
+(``BackboneModel.workspaces``). The parameters' dtype sets the computation's.
 """
 
 from __future__ import annotations
@@ -70,9 +53,8 @@ GradKey = tuple[str, str]  # (component, parameter name)
 
 def workspace_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of each buffer of a ``Workspace`` for ``c``: one
-    request's KV block, then the temporaries of a pass of up to ``max_seq``
-    rows. Every temporary lives within one layer, so these serve all
-    layers."""
+    request's KV block, then the temporaries of one layer of a pass of up to
+    ``max_seq`` rows."""
     r, d, h = c.max_seq, c.d_model, c.n_heads
     return {
         "kv": (2 * c.n_layers * r * d,),  # decoding.KvCache's keys and values
@@ -97,10 +79,7 @@ def workspace_bytes(c: ModelConfig, dtype) -> int:
 
 class Workspace:
     """The buffers of one request on a model of ``config`` in ``dtype``
-    (``workspace_shapes``): a ``decoding.KvCache`` is cut from its KV block,
-    and ``forward_batch`` writes the temporaries of a multi-row untaped pass
-    over one unpacked row into the rest. Whoever holds a workspace uses it
-    alone; see ``take_workspace``."""
+    (``workspace_shapes``). Its holder uses it alone (``take_workspace``)."""
 
     def __init__(self, config: ModelConfig, dtype):
         self.config = config
@@ -119,10 +98,8 @@ class Workspace:
         return sum(a.nbytes for a in self.buffers.values())
 
     def rows(self, n: int) -> tuple:
-        """The buffers for a pass of ``n`` rows, in ``forward_batch``'s
-        order: layer rows, attention-sublayer rows, a norm's (output,
-        centred rows), queries, keys, values, the feed-forward's buffers at
-        the model's width (``ffn_rows``), and attention's flat scratch."""
+        """The buffers of an ``n``-row pass, in the order ``forward_batch``
+        unpacks them."""
         a = self.buffers
         norm = a["norm"][:, :n]
         return (a["x"][:n], a["x1"][:n], (norm[0], norm[1]), a["q"][:n], a["k"][:n],
@@ -139,9 +116,9 @@ class Workspace:
 
 
 def take_workspace(model: BackboneModel) -> Workspace:
-    """The model's spare workspace for its parameters' dtype, taken out of
-    ``model.workspaces`` in one step so that no other pass or request gets
-    it, or a new one when there is none. ``give_back`` returns it."""
+    """The model's spare workspace for its parameters' dtype, removed from
+    ``model.workspaces`` so no other pass gets it, or a new one when there is
+    none. ``give_back`` returns it."""
     dtype = model.params["embed"].dtype
     ws = model.workspaces.pop(dtype, None)
     return Workspace(model.config, dtype) if ws is None else ws
@@ -165,14 +142,9 @@ def _mm_back(x, w, dy, need_dw=True):
 
 def sum_rows_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """[n, ...] sums of the rows of ``values`` grouped by ``index``: entry r
-    adds up every ``values[j]`` with ``index.flat[j] == r``, for ints in
-    [0, n).
-
-    Up to 64 groups (positions, packed rows) this is one product with a
-    one-hot matrix, which does n multiply-adds per value. For more (token ids
-    over the vocabulary) it is one ``np.bincount`` per column, which sums in
-    float64 and allocates nothing larger than a column.
-    """
+    adds every ``values[j]`` with ``index.flat[j] == r``, for ints in [0, n).
+    Up to 64 groups it is one one-hot product (n multiply-adds per value);
+    beyond, one ``np.bincount`` per column, which allocates no one-hot matrix."""
     rows = values.reshape(index.size, -1)
     if n <= 64:
         onehot = np.arange(n)[:, None] == index.reshape(-1)
@@ -186,12 +158,9 @@ def sum_rows_by(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def check_token_ids(ids: np.ndarray, vocab_size: int, what: str = "token") -> None:
-    """Raise ``TokenIdError`` unless ``ids`` are integers that all lie in
-    ``[0, vocab_size)``.
-
-    NumPy indexing would otherwise raise a bare ``IndexError`` in the embedding
-    lookup for an id >= vocab_size and wrap a negative id to a row from the end.
-    """
+    """Raise ``TokenIdError`` unless ``ids`` are integers in
+    ``[0, vocab_size)``. NumPy indexing would raise a bare ``IndexError`` for
+    an id too large and wrap a negative one."""
     if ids.dtype.kind not in "iu":
         raise TokenIdError(f"{what} ids must be integers, got dtype {ids.dtype}")
     if ids.size == 1:
@@ -218,10 +187,9 @@ def token_row(tokens) -> np.ndarray:
 
 @functools.cache
 def layer_table(n_layers: int) -> tuple[tuple, ...]:
-    """Per layer: the tensor names of its attention block, of its backbone
-    feed-forward sublayer and of an expert's replacement for it (see
-    ``model.attn_names`` and ``model.ffn_names``), then for each of the three
-    an itemgetter that fetches its tensors in one call."""
+    """Per layer: the tensor names of its attention block, its backbone
+    feed-forward and an expert's replacement for it (``model.attn_names``,
+    ``model.ffn_names``), then an itemgetter for each of the three."""
     table = []
     for i in range(n_layers):
         names = (attn_names(i), *ffn_names(i))
@@ -230,9 +198,8 @@ def layer_table(n_layers: int) -> tuple[tuple, ...]:
 
 
 def layer_weights(backbone: BackboneModel, expert: ExpertSubnetwork | None):
-    """Per layer: (its attention tensors, its feed-forward tensors), each in
-    ``layer_table``'s name order, the latter the expert's at the expert's
-    positions. Two itemgetter calls per layer."""
+    """Per layer: (attention tensors, feed-forward tensors) in
+    ``layer_table`` order, the latter the expert's at its positions."""
     p = backbone.params
     positions = expert.positions if expert is not None else ()
     return [(attn(p), expert_ffn(expert.params) if i in positions else ffn(p))
@@ -241,10 +208,9 @@ def layer_weights(backbone: BackboneModel, expert: ExpertSubnetwork | None):
 
 
 def _lowest_trainable_layer(layers, trainable: set[GradKey]):
-    """(lowest layer holding a trainable tensor, whether that layer's
-    attention block holds one), for ``layers`` as ``backward_batch`` lists
-    them. The layer is -1 when the embeddings are trainable and
-    ``len(layers)`` when no layer is."""
+    """(lowest layer holding a trainable tensor, whether its attention
+    block holds one) for ``backward_batch``'s ``layers``: -1 when the
+    embeddings are trainable, ``len(layers)`` when no layer is."""
     if ("backbone", "embed") in trainable or ("backbone", "pos") in trainable:
         return -1, True
     for i, (attn_names, comp, _, ffn_names) in enumerate(layers):
@@ -255,14 +221,11 @@ def _lowest_trainable_layer(layers, trainable: set[GradKey]):
 
 
 def pack(lengths: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay sequences of ``lengths`` into rows as wide as the longest.
-
-    Rows are filled first-fit decreasing, so there are never more rows than
-    sequences. Returns (row, start, positions): sequence ``i`` occupies
-    columns ``start[i] : start[i] + lengths[i]`` of row ``row[i]``, and
-    ``positions`` [rows, width], as ``forward_batch`` takes it, restarts at 0
-    at each sequence's start and at the pad slots that end a row.
-    """
+    """Lay sequences of ``lengths`` first-fit decreasing into rows as wide as
+    the longest, so never more rows than sequences. Returns (row, start,
+    positions): sequence ``i`` fills columns ``start[i] : start[i] + lengths[i]``
+    of row ``row[i]``, and ``positions`` [rows, width], as ``forward_batch``
+    takes it, restarts at 0 at each sequence and at a row's trailing pad slots."""
     width = max(lengths)
     row = np.empty(len(lengths), dtype=np.int64)
     start = np.empty_like(row)
@@ -291,46 +254,25 @@ def forward_batch(
     cache=None,
     positions: np.ndarray | None = None,
 ):
-    """Forward a [b,t] int token batch; returns (logits, hidden, tape).
+    """Forward a [b, t] int token batch; returns (logits, hidden, tape).
 
-    ``hidden`` is the final-norm output (pre-head). The expert, when present,
-    replaces the feed-forward sublayer (norm included) at its positions.
-    ``tokens`` that are not a nonempty 2-D batch raise ``DimensionError``,
-    and ids that are not integers in the vocabulary ``TokenIdError``.
+    ``hidden`` is the final-norm output. ``expert`` replaces the feed-forward
+    sublayer, norm included, at its positions. Without ``positions`` each row
+    is one sequence; ``positions`` [b, t] (``pack``) packs segments into a
+    row, each attending only within itself. With ``cache`` (a
+    ``decoding.KvCache``) the pass takes one untaped, unpacked row, appends
+    its ``t`` positions at ``len(cache)`` and returns the last one only
+    ([1, 1, ...]). With ``want_tape`` the tape keeps per layer ``ln1c``,
+    ``ln2c``, ``probs`` ([b, h, t, s]), ``merged`` and ``pre``. A multi-row
+    untaped pass over one unpacked row writes its temporaries into a
+    ``Workspace`` (the cache's, else the model's spare): the same bits, and no
+    returned array shares its memory.
 
-    Without ``positions`` each row is one sequence (right-padded if shorter):
-    row position i has position id i and sees keys 0..i. ``positions``
-    [b, t] (see ``pack``) packs several sequences into a row: ids restart at
-    0 at each segment's start, the position embedding is looked up by id,
-    and query i sees only keys ``i - positions[i] .. i``, so no segment
-    attends into another. Pad slots that end a row form a segment of their
-    own.
-
-    With ``cache`` (a ``decoding.KvCache``) the pass takes one untaped,
-    unpacked row and appends its ``t`` positions at ``len(cache)``: every
-    layer caches its keys and values there and attends over all cached
-    positions, the cache length grows by ``t``, and logits and hidden come
-    back for the last position only ([1, 1, ...]). An empty cache makes
-    this a prefill, a one-token row a decode step. When the logits are not
-    finite the cache has already taken the positions. A pass with the
-    cache's (backbone, expert) pair reuses the layer weights it keeps for
-    that pair (see ``decoding.KvCache``).
-
-    With ``want_tape`` the tape keeps, per layer, ``ln1c`` and ``ln2c``
-    (each norm's normalised rows, inverse deviations and gain, the gain
-    being the parameter itself), ``probs`` (the attention weights as
-    [b, h, t, s]), ``merged`` (the context rows, the output projection's
-    input) and ``pre`` (the GELU input). Everything else ``backward_batch``
-    rebuilds.
-
-    Workspace: a multi-row pass over one unpacked row without a tape (a
-    prefill, tiled or not, or an uncached pass such as a no-cache re-decode)
-    writes every per-layer temporary into a ``Workspace``: the cache's,
-    which the cache's owner holds, or else the model's spare, taken for the
-    pass (``take_workspace``) and given back after it. Every other pass (a
-    decode step, a taped pass, a packed or multi-row batch) allocates its
-    temporaries. The logits, hidden rows and cache entries are the same bits
-    either way, and the arrays returned never share a workspace's memory.
+    Raises ``DimensionError`` for tokens that are not a nonempty 2-D batch or
+    a bad cached or packed pass, ``SequenceLengthError`` past ``max_seq`` or
+    the cache's capacity, ``TokenIdError`` for ids outside the vocabulary,
+    ``RoutingConfigError`` for a bad expert position, and ``NumericError`` for
+    non-finite logits, which the cache has already taken.
     """
     c = backbone.config
     p = backbone.params
@@ -363,7 +305,6 @@ def forward_batch(
     end = start + t
     ws = None
     if b * t == 1 and positions is None:
-        # a lone row: its embedding and position rows by index
         x = p["embed"][tokens.item()] + p["pos"][start]
         tiled, future, bufs = False, None, _NO_ROWS
     else:
@@ -453,36 +394,12 @@ def backward_batch(
     dlogits: np.ndarray | None = None,
     dhidden: np.ndarray | None = None,
 ) -> dict[GradKey, np.ndarray]:
-    """Backward through a taped forward. Returns grads for trainable keys only.
-
-    Either ``dlogits`` (gradient at the output head) or ``dhidden`` (gradient
-    at the final-norm output, used by the planner's scorer) seeds the pass;
-    both may be given and are accumulated.
-
-    A weight gradient is computed only for a key in ``trainable``. The pass
-    walks down the layers only as far as the lowest layer that holds a
-    trainable tensor, and at that layer it stops after the feed-forward
-    sublayer when the attention block (``ln1`` and the projections) is
-    frozen. With everything trainable (pretraining) it runs the full pass.
-    The gradients it returns do not depend on which other keys are trainable.
-
-    Attention's backward reads the taped context rows (``merged``) as well
-    as its weights (see ``kernels.attention_bwd``). Column sums (bias
-    gradients) are products with a ones vector, and the embedding gradient
-    groups rows by token id with ``sum_rows_by``.
-
-    What the tape does not keep is rebuilt per layer by the forward's own
-    operations on the same inputs, so it is bit-identical to what the
-    forward computed: GELU's tanh(u) from ``pre`` (``kernels.gelu_tanh``)
-    in every layer it walks; the attention block's input from ``ln1c``
-    and the bias (``kernels.layer_norm_out``) and from it the queries,
-    keys and values, with the pass's product (``np.dot`` for a lone row,
-    ``np.matmul`` otherwise), wherever it walks the attention block; and the
-    feed-forward's input (``layer_norm_out`` of ``ln2c``) and GELU output
-    (``kernels.gelu_from_tanh``) only for a trainable ``w1`` and ``w2``
-    respectively, which on a frozen backbone means the expert positions
-    only.
-    """
+    """Gradients of a taped forward, for the keys in ``trainable`` only.
+    ``dlogits`` (at the head) and ``dhidden`` (at the final-norm output, as the
+    planner's scorer seeds it) are summed when both are given. The walk stops
+    below the lowest layer holding a trainable tensor, and at that layer after
+    the feed-forward when its attention block is frozen. A gradient does not
+    depend on which other keys are trainable."""
     c = backbone.config
     p = backbone.params
     grads: dict[GradKey, np.ndarray] = {}
@@ -578,10 +495,8 @@ def backward_batch(
 
 
 def forward_base(model: BackboneModel, tokens: list[int]) -> np.ndarray:
-    """Next-token logits [t, vocab] for a single sequence on the base model.
-
-    ``tokens`` are converted as they are (``token_row``), so an id that is
-    not an integer raises ``TokenIdError`` instead of being cast."""
+    """Next-token logits [t, vocab] of one sequence on the base model; an id
+    that is not an integer raises ``TokenIdError`` (``token_row``)."""
     logits, _, _ = forward_batch(model, token_row(tokens))
     return logits[0]
 

@@ -1,9 +1,8 @@
 """Seeded random streams.
 
-All randomness in the package flows through :class:`Rng`, a thin wrapper over
-NumPy's PCG64 generator: one 64-bit seed fully determines the sample stream,
-on every platform. Derived streams (``child``) hash their labels with crc32 so
-the derivation itself is stable across runs and processes.
+All randomness flows through :class:`Rng`, over NumPy's PCG64: one 64-bit
+seed fixes the stream on every platform. ``child`` derives a stream from
+crc32 hashes of its labels, so derivation is stable across processes.
 """
 
 from __future__ import annotations

@@ -1,24 +1,14 @@
-"""Routing policies.
+"""Routing policies: mapping-matrix gating and the learned planner.
 
-Rule-based gating resolves a query's domain tag through the binary
-domain x expert mapping matrix into an execution path: one step per associated
-expert, ascending expert id, each step carrying that expert's insertion
-positions. An all-zero row is a legal outcome meaning "answer with the base
-model".
-
-The serving rule is written once: ``answerers`` gives the models that answer
-a domain's query, the experts of its path in order or the base model (None)
-for an all-zero row. The CLI's ``infer`` and ``bench`` serve through it.
-
-Planner routing scores every registered expert (plus a reserved STOP slot) for
-the current subtask: the subtask runs through the backbone with the planner's
-own expert spliced in, and each candidate's learned indicator vector
-cross-attends over the subtask's final hidden states into a scalar match score
-via a linear head. That cross-attention is the block's own
-``kernels.attention`` (and ``attention_bwd``) with one head. Execution is
-iterative: the winning expert decodes the subtask, its output is carried into
-the next subtask's context, and the loop ends on STOP or the step cap. An
-expert step and the STOP-first base-model fallback share one room rule.
+Gating resolves a query's domain through the binary domain x expert mapping
+matrix to a path of one step per mapped expert, in ascending id; an
+all-zero row means the base model answers. ``answerers`` is that rule for
+serving, and ``answer`` the decode rule of the CLI and the planner steps.
+The planner scores every registered expert and a STOP slot for a subtask:
+the subtask runs through the backbone with the planner's own expert spliced
+in, and each candidate's indicator vector cross-attends over its final
+hidden states (``kernels.attention`` with one head) into a score.
+``execute_plan`` carries each winner's answer into the next subtask.
 """
 
 from __future__ import annotations
@@ -81,7 +71,6 @@ class ExecutionPath:
     """Resolved routing plan: (expert id, positions) steps in execution order."""
 
     steps: tuple[tuple[int, tuple[int, ...]], ...]
-    origin: str  # "gating" | "planning"
     truncated: bool = False
 
     def expert_ids(self) -> tuple[int, ...]:
@@ -89,7 +78,9 @@ class ExecutionPath:
 
 
 def gate(mapping: MappingMatrix, registry, queries) -> list[ExecutionPath]:
-    """Rule-based gating: one path per query, one step per associated expert."""
+    """One path per (domain, tokens) query, a step per mapped expert. Raises
+    ``GatingError`` for an unknown domain and ``UnknownExpertError`` for an
+    unregistered mapped expert."""
     paths = []
     for tag, _tokens in queries:
         steps = []
@@ -97,24 +88,21 @@ def gate(mapping: MappingMatrix, registry, queries) -> list[ExecutionPath]:
             if eid not in registry.experts:
                 raise UnknownExpertError(f"mapping references unregistered expert {eid}")
             steps.append((eid, registry.experts[eid].positions))
-        paths.append(ExecutionPath(steps=tuple(steps), origin="gating"))
+        paths.append(ExecutionPath(steps=tuple(steps)))
     return paths
 
 
 def answerers(registry, domain: str) -> list[ExpertSubnetwork | None]:
     """The experts of ``domain``'s gated path in order, or ``[None]`` (the
-    base model) for an all-zero row. Raises ``gate``'s errors: ``GatingError``
-    for an unknown domain, ``UnknownExpertError`` for an unregistered mapped
-    expert."""
+    base model) for an all-zero row; raises ``gate``'s errors."""
     path = gate(registry.mapping, registry, [(domain, None)])[0]
     return [registry.experts[eid] for eid in path.expert_ids()] or [None]
 
 
 @dataclass
 class PlannerExpert:
-    """The planning expert: its own spliced subnetwork, per-expert indicator
-    vectors (query side of the scorer), single-head cross-attention
-    projections, and the scalar score head."""
+    """The planning expert: its own spliced subnetwork, an indicator vector per
+    expert (the scorer's queries), cross-attention projections and score head."""
 
     expert: ExpertSubnetwork
     indicator_ids: list[int]  # ascending expert ids; indicators has one extra STOP row
@@ -204,17 +192,11 @@ def score_batch(
     token_lists: list[list[int]],
     want_tape: bool = False,
 ):
-    """Match scores [b, n_experts + 1] for ``b`` subtasks' token sequences.
-
-    The last slot of each row is STOP, and rows come back in input order.
-    The subtasks are packed into rows (``net.pack``) for one
-    ``forward_batch`` pass with segment positions, so no subtask attends
-    into another. The scorer's cross-attention is ``kernels.attention`` with
-    one head over ``b`` sequences: each subtask's n + 1 indicator queries
-    attend over its packed row, with a ``key_mask`` hiding every key outside
-    its own segment, so each subtask scores as it would alone. With
-    ``want_tape`` also returns everything ``score_backward`` needs.
-    """
+    """Match scores [b, n_experts + 1] for ``b`` subtasks, STOP last and rows
+    in input order; with ``want_tape`` also the tape ``score_backward`` takes.
+    The subtasks are packed into rows (``net.pack``) for one pass, and a
+    ``key_mask`` keeps each subtask's indicator queries on its own segment, so
+    each scores as it would alone. An empty subtask raises ``RoutingError``."""
     if not token_lists or not all(token_lists):
         raise RoutingError("empty subtask")
     lengths = [len(t) for t in token_lists]
@@ -247,11 +229,8 @@ def score_tokens(
     tokens: list[int],
     want_tape: bool = False,
 ):
-    """Match scores [n_experts + 1] for one subtask: a one-row ``score_batch``.
-
-    The tape it returns with ``want_tape`` is a one-row batch tape, which
-    ``score_backward`` takes with 1-D ``dscores``.
-    """
+    """One subtask's scores [n_experts + 1]: a one-row ``score_batch``, whose
+    tape ``score_backward`` takes with 1-D ``dscores``."""
     out = score_batch(planner, backbone, [tokens], want_tape)
     if not want_tape:
         return out[0]
@@ -266,15 +245,10 @@ def score_backward(
     dscores: np.ndarray,
     trainable: set[GradKey],
 ) -> dict[GradKey, np.ndarray]:
-    """Backward through the scorer and the planner-expert stack.
-
-    ``dscores`` is [b, n_experts + 1] for a ``score_batch`` tape; a 1-D
-    ``dscores`` is one row. The gradients are summed over the rows. The
-    cross-attention's backward is ``kernels.attention_bwd`` with one head;
-    the indicator queries' gradient is summed over the subtasks. Each
-    subtask's key and value gradients are zero outside its segment, so
-    adding them into the packed rows gives every position its own.
-    """
+    """Gradients of the scorer and the planner's stack for the keys in
+    ``trainable``, summed over the rows of ``dscores`` ([b, n_experts + 1], or
+    1-D for one row). A subtask's key and value gradients are zero outside its
+    segment, so adding them into the packed rows gives each position its own."""
     s = planner.scorer
     h, row, ctx, out = score_tape["h"], score_tape["row"], score_tape["ctx"], score_tape["out"]
     dscores = np.asarray(dscores).reshape(-1)
@@ -314,19 +288,20 @@ def score_backward(
 
 
 def select_expert(scores: np.ndarray) -> int:
-    """Argmax slot; ties break toward the lowest index (lowest expert id,
-    since rows are id-ordered with STOP last)."""
+    """Argmax slot, ties to the lowest index (the lowest expert id; STOP is
+    last). No scores raise ``RoutingError``."""
     scores = np.asarray(scores)
     if scores.size == 0:
         raise RoutingError("no candidate experts to select from")
     return int(np.argmax(scores))
 
 
-def _answer(backbone: BackboneModel, expert: ExpertSubnetwork | None, carried: str | None,
+def answer(backbone: BackboneModel, expert: ExpertSubnetwork | None, carried: str | None,
             query: str, max_new: int) -> str:
-    """``expert`` (None: the base model) decodes the step prompt for up to
-    ``max_new`` tokens the context has room for; no room raises
-    ``RoutingError``. Returns the text with EOS stripped."""
+    """``expert`` (None: the base model) decodes the step prompt of ``query``
+    after ``carried`` for up to ``max_new`` tokens the context has room for;
+    returns the text with EOS stripped. No room raises ``RoutingError``, and a
+    ``max_new`` that is not an integer >= 1 ``SequenceLengthError``."""
     prompt = dom.step_prompt_tokens(carried, query)
     room = backbone.config.max_seq - len(prompt)
     if room < 1:
@@ -342,15 +317,12 @@ def execute_plan(
     max_steps: int = 4,
     max_new: int = 16,
 ) -> tuple[str, ExecutionPath]:
-    """Iterative planner execution.
-
-    Each step scores the current subtask, routes to the winning expert, decodes
-    its answer (``_answer``), and carries that answer, trimmed oldest-first
-    to fit, into the next subtask. STOP (or the step cap) ends the loop; if
-    STOP wins immediately the base model answers by the same rule. A
-    ``max_steps`` that is not an integer >= 1 (1.5, True) raises
-    ``RoutingError``.
-    """
+    """Planner execution; returns (answer text, path). Each step scores the
+    subtask and the winner ``answer``s it; the answer, trimmed oldest-first to
+    fit, is carried into the next subtask until STOP or the step cap, and a
+    STOP first lets the base model answer. Raises ``RoutingError`` for a
+    ``max_steps`` that is not an integer >= 1, ``UnknownExpertError`` for an
+    unregistered winner."""
     max_steps = check_count(max_steps, "max_steps", RoutingError)
     backbone = registry.backbone
     max_seq = backbone.config.max_seq
@@ -372,9 +344,9 @@ def execute_plan(
         if eid not in registry.experts:
             raise UnknownExpertError(f"planner selected unregistered expert {eid}")
         expert = registry.experts[eid]
-        carried = _answer(backbone, expert, carried, query, max_new)
+        carried = answer(backbone, expert, carried, query, max_new)
         steps.append((eid, expert.positions))
     if not steps:
-        carried = _answer(backbone, None, None, query, max_new)
-    path = ExecutionPath(steps=tuple(steps), origin="planning", truncated=truncated)
+        carried = answer(backbone, None, None, query, max_new)
+    path = ExecutionPath(steps=tuple(steps), truncated=truncated)
     return carried or "", path

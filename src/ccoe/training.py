@@ -1,10 +1,7 @@
-"""Frozen-backbone training: hand-rolled Adam, masked NLL, and the three
-training entry points (backbone pretraining, expert fitting, planner fitting).
-
-The optimizer is constructed from an explicit parameter dict, so what is
-trainable is decided by set membership, not by zeroing gradients: a frozen
-backbone's tensors are simply never handed to the optimizer, and
-``backward_batch`` never computes their gradients in the first place.
+"""Frozen-backbone training: Adam, the masked NLL and the three entry points
+(backbone pretraining, expert fitting, planner fitting). What trains is the
+optimizer's parameter dict: a frozen backbone's tensors are never in it,
+and ``backward_batch`` never computes their gradients.
 """
 
 from __future__ import annotations
@@ -79,11 +76,8 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 
 
 class Adam:
-    """Adam over an explicit (component, name) -> array parameter dict.
-
-    Holding a tensor in ``params`` is what makes it trainable; backbone
-    tensors are excluded by never being added.
-    """
+    """Adam over an explicit (component, name) -> array dict; holding a tensor
+    in ``params`` is what makes it trainable."""
 
     def __init__(self, params: dict[GradKey, np.ndarray], cfg: TrainConfig):
         self.params = params
@@ -120,16 +114,11 @@ class Adam:
 def nll_loss(
     logits: np.ndarray, targets: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean masked negative log-likelihood and its gradient w.r.t. logits.
-
-    ``logits`` may be [t,V] or [b,t,V]; targets/mask match its leading shape.
-    Positions are independent, so a row may hold one sequence or several
-    packed ones. The returned gradient is softmax(logits) minus the one-hot
-    targets, scaled by mask / mask.sum(). The logits buffer is not modified.
-    A target outside ``[0, V)`` raises ``TokenIdError`` where the mask is on;
-    where it is off (``batchify`` puts ``PAD`` there, at pad slots and at
-    each segment's last token) the target is ignored.
-    """
+    """Mean masked negative log-likelihood and its gradient w.r.t. the logits,
+    which it leaves unmodified. ``logits`` is [t, V] or [b, t, V], ``targets``
+    and ``mask`` its leading shape; positions are independent, so rows may be
+    packed. A target outside ``[0, V)`` raises ``TokenIdError`` where the mask
+    is on and is ignored elsewhere; an all-off mask ``DegenerateBatchError``."""
     if logits.ndim == 2:
         logits, targets, mask = logits[None], np.asarray(targets)[None], np.asarray(mask)[None]
         squeeze = True
@@ -159,14 +148,10 @@ def nll_loss(
 def batchify(
     examples: list[dom.TrainExample],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack the examples into rows as wide as the longest (``net.pack``);
-    returns (tokens, next-token targets, mask, positions).
-
-    Each example is one segment of its row, with its own position ids, so
-    ``forward_batch`` with ``positions`` keeps every example's attention to
-    itself. A segment's last target and every pad slot hold ``PAD`` with the
-    mask off, so the loss and its gradient are those of the padded batch.
-    """
+    """Pack the examples into rows (``net.pack``); returns (tokens, next-token
+    targets, mask, positions). A segment's last target and every pad slot are
+    ``PAD`` with the mask off, so the loss and its gradient are those of the
+    padded batch."""
     row, start, positions = pack([len(e.ids) for e in examples])
     tokens = np.full(positions.shape, PAD, dtype=np.int64)
     targets = np.full(positions.shape, PAD, dtype=np.int64)
@@ -194,10 +179,8 @@ def loss_and_grads(
     trainable: set[GradKey],
     positions: np.ndarray | None = None,
 ) -> tuple[float, float, dict[GradKey, np.ndarray]]:
-    """Forward + masked NLL + backward restricted to ``trainable``;
-    ``positions`` marks packed rows as ``forward_batch`` takes it. The
-    logits are dropped before the backward, which needs only their
-    gradient."""
+    """Forward, masked NLL and a backward restricted to ``trainable``;
+    ``positions`` marks packed rows as ``forward_batch`` takes it."""
     logits, _, tape = forward_batch(backbone, tokens, expert=expert, want_tape=True,
                                     positions=positions)
     loss, dlogits = nll_loss(logits, targets, mask)
@@ -210,15 +193,10 @@ def loss_and_grads(
 def _run_training(
     params: dict[GradKey, np.ndarray], loss_at, cfg: TrainConfig
 ) -> list[LossRecord]:
-    """Adam over ``params`` for ``cfg.steps`` steps.
-
-    ``loss_at(step, trainable)`` draws step ``step``'s batch and returns its
-    (loss, accuracy, gradients), the gradients restricted to the key set
-    ``trainable``. A step whose loss is non-finite, or whose ``loss_at``
-    raises ``NumericError``, aborts the run with ``DivergenceError`` carrying
-    the latest snapshot of ``params`` (taken every ``SNAPSHOT_EVERY``
-    steps).
-    """
+    """Adam over ``params`` for ``cfg.steps`` steps; ``loss_at(step, trainable)``
+    returns a step's (loss, accuracy, gradients for ``trainable``). A non-finite
+    loss, or a ``NumericError`` from ``loss_at``, raises ``DivergenceError``
+    carrying the snapshot of ``params`` taken every ``SNAPSHOT_EVERY`` steps."""
     cfg.validate()
     opt = Adam(params, cfg)
     trainable = set(params)
@@ -282,8 +260,8 @@ def train_expert(
     domain: dom.SyntheticDomain,
     cfg: TrainConfig,
 ) -> ExpertTrainResult:
-    """Fit the expert's parameters against the frozen backbone (the backbone
-    never enters the optimizer's parameter set)."""
+    """Fit the expert's parameters against the frozen backbone, which never
+    enters the optimizer; an unfrozen backbone raises ``ConfigError``."""
     if not backbone.frozen:
         raise ConfigError("expert training requires a frozen backbone")
     data_rng = Rng(cfg.seed).child("expert-data", domain.name)
@@ -337,11 +315,8 @@ def build_planner_dataset(
     n_tasks: int,
     rng: Rng,
 ) -> list[PlannerTask]:
-    """Supervised routing tasks with teacher-forced carried context.
-
-    Each composite task becomes per-step (subtask tokens, expert id) pairs
-    plus a final STOP step whose context carries the finished answer.
-    """
+    """Supervised routing tasks with teacher-forced carried context: per step a
+    (subtask tokens, expert id) pair, then a STOP step carrying the answer."""
     from .routing import STOP
 
     tasks: list[PlannerTask] = []
@@ -383,14 +358,11 @@ def train_planner(
     tasks: list[PlannerTask],
     cfg: TrainConfig,
 ) -> tuple[object, list[LossRecord]]:
-    """Per-step cross-entropy over expert slots (STOP included); trains the
-    indicator vectors, scorer, and the planner's own sublayers jointly.
-
-    Each step scores a batch of subtasks with ``score_batch`` and takes the
-    loss with ``nll_loss``, each subtask one position whose logits are its
-    slot scores. Divergence aborts with ``DivergenceError`` carrying the
-    latest snapshot of the trainable parameters, as in ``_run_training``.
-    """
+    """Per-step cross-entropy over expert slots, STOP included, training the
+    indicators, the scorer and the planner's own sublayers jointly: a step
+    scores a batch with ``score_batch`` and takes ``nll_loss`` over the slot
+    scores. Raises ``ConfigError`` for an unfrozen backbone, ``DatasetError``
+    for an empty dataset or an unknown label, and as ``_run_training`` does."""
     from .routing import score_backward, score_batch
 
     if not backbone.frozen:

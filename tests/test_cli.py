@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from ccoe import cli
+from ccoe import cli, routing
 from ccoe.checkpoint import save_checkpoint
 from ccoe.cli import Manifest, main, manifest_lock
 from ccoe.model import ModelConfig, init_backbone, init_expert, param_bytes
 from ccoe.net import Workspace
 from ccoe.rng import Rng
 from ccoe.routing import MappingMatrix, init_planner
+from ccoe.tokenizer import EOS, decode
 
 TINY = ModelConfig(n_layers=2, d_model=16, n_heads=2, d_ff=32, vocab_size=260, max_seq=64)
 
@@ -273,3 +274,22 @@ def test_a_pushed_expert_gets_an_uncalibrated_planner_row_on_every_load(tmp_path
     capsys.readouterr()
     assert main(["report-memory", *argv]) == 0
     assert "uncalibrated" not in capsys.readouterr().err
+
+
+def test_infer_decodes_only_what_the_context_has_room_for(tmp_path, capsys, monkeypatch):
+    manifest = _expert_manifest(tmp_path)
+    decoded, greedy_decode = [], routing.greedy_decode
+
+    def spy(*args, **kwargs):
+        decoded.append(out := greedy_decode(*args, **kwargs))
+        return out
+
+    monkeypatch.setattr(routing, "greedy_decode", spy)
+    argv = ["infer", "--manifest", str(manifest.path), "--domain", "copy", "--max-new", "8"]
+    # the step prompt is [BOS] ? prompt =, so 58 prompt bytes leave room for 3 tokens
+    assert main([*argv, "--prompt", "a" * (TINY.max_seq - 6)]) == 0
+    (out,) = decoded
+    assert len(out) == 3 and EOS not in out
+    assert capsys.readouterr().out == f"expert 0 (copy): {decode(out)}\n"
+    assert main([*argv, "--prompt", "a" * (TINY.max_seq - 3)]) == 2  # RoutingError
+    assert "no context room" in capsys.readouterr().err
